@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, FlopClass, Kernel, KernelBackend, LaunchConfig, Texture, ThreadCtx,
-    VirtualGpu,
+    AppProfile, BlockCtx, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx, VirtualGpu,
 };
 use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
@@ -121,8 +120,10 @@ impl Kernel for AdaptiveKernel<'_> {
     }
 
     /// Batched fast path (see [`StarCentricKernel::run_block`]'s notes —
-    /// same structure, with texture fetches driven through the SM's cache
-    /// simulator in the exact lane order of the reference path).
+    /// same structure, with the SM's cache simulator seeing the exact
+    /// texel sequence of the reference path, replayed per layer where
+    /// that is exact). Both backends run the same code: each slot takes
+    /// one add, so they are bit-identical.
     ///
     /// [`StarCentricKernel::run_block`]: crate::parallel::StarCentricKernel
     fn run_block<'k>(&'k self, ctx: &mut BlockCtx<'k, '_>) -> bool {
@@ -179,54 +180,37 @@ impl Kernel for AdaptiveKernel<'_> {
 
         let (x0, y0) = self.roi.origin(star.x, star.y);
         let (w, h) = (self.width as i64, self.height as i64);
-        if x0 >= 0 && y0 >= 0 && x0 + side as i64 <= w && y0 + side as i64 <= h {
-            // Interior ROI: all lanes fetch, one texture request per warp.
-            // The row-major pixel loop visits texels in ascending linear
-            // thread order — the same order the reference path feeds the
-            // cache simulator, so hit/miss sequences are identical.
+        let acc = ctx.shadow.accumulator(self.image);
+        // Interior ROI over a side × side texture: the lanes fetch the
+        // whole layer in row-major order, a fixed line pattern the texture
+        // precomputed at bind, so the SM's cache replays it in one step
+        // per distinct line with the exact per-texel LRU outcome (see
+        // `CacheSim::replay`). Pixels then take one add per slot straight
+        // from the layer's rows.
+        let interior = x0 >= 0 && y0 >= 0 && x0 + side as i64 <= w && y0 + side as i64 <= h;
+        let whole_layer = self.lut_tex.width() == side && self.lut_tex.height() == side;
+        let replayed = if interior && whole_layer {
+            self.lut_tex
+                .layer_footprint(layer)
+                .and_then(|(fp, base_line)| ctx.cache.replay(fp, base_line))
+        } else {
+            None
+        };
+        if let Some(tex_hits) = replayed {
+            // Every lane fetches: one texture request and one atomic
+            // request per warp.
             ctx.counters.tex_requests += n_warps;
             ctx.counters.atomic_requests += n_warps;
-            // Counter increments hoisted out of the pixel loop (every lane
-            // fetches exactly once) and the shadow lookup hoisted to a row
-            // accumulator: per pixel, only the fetch, the cache access, and
-            // one add remain. Totals are identical to per-pixel accounting.
-            ctx.counters.tex_fetches += (side * side) as u64;
-            let mut tex_hits = 0u64;
-            let acc = ctx.shadow.accumulator(self.image);
-            // Simd backend: stage the fetched LUT row in a stack buffer
-            // (texture fetches and cache accesses stay scalar, in the
-            // reference lane order, so tex_hits is identical), then add the
-            // whole row into the accumulator span with the lane helper. One
-            // add per slot either way — the backends are bit-identical here.
-            // Launch validation caps side at 32 (side² ≤ 1024 threads).
-            let mut row_buf = [0.0f32; 32];
-            let staged = ctx.backend == KernelBackend::Simd && side <= row_buf.len();
-            for j in 0..side {
-                let py = y0 + j as i64;
-                let row = py as usize * self.width + x0 as usize;
-                let row_vals = acc.span_mut(row, row + side);
-                if staged {
-                    for (i, slot) in row_buf[..side].iter_mut().enumerate() {
-                        let (gray, taddr) = self.lut_tex.fetch(layer, i as i64, j as i64);
-                        if ctx.cache.access(taddr) {
-                            tex_hits += 1;
-                        }
-                        *slot = gray;
-                    }
-                    psf::lanes::accumulate(row_vals, &row_buf[..side]);
-                } else {
-                    for (i, slot) in row_vals.iter_mut().enumerate() {
-                        let (gray, taddr) = self.lut_tex.fetch(layer, i as i64, j as i64);
-                        if ctx.cache.access(taddr) {
-                            tex_hits += 1;
-                        }
-                        *slot += gray;
-                    }
-                }
-            }
+            ctx.counters.tex_fetches += tpb as u64;
             ctx.counters.tex_hits += tex_hits;
+            for (j, texels) in self.lut_tex.rows(layer).enumerate() {
+                let row = (y0 as usize + j) * self.width + x0 as usize;
+                psf::lanes::accumulate(acc.span_mut(row, row + side), texels);
+            }
         } else {
-            let acc = ctx.shadow.accumulator(self.image);
+            // Edge-clipped ROI, or a layer the cache cannot replay in one
+            // step: fetch texel by texel in ascending lane order — the
+            // order the reference path feeds the cache simulator.
             let mut t = 0usize;
             while t < tpb {
                 let lanes = warp.min(tpb - t);
@@ -497,8 +481,8 @@ mod tests {
 
     #[test]
     fn simd_backend_is_bit_identical() {
-        // The adaptive kernel's Simd path only restages the fetched row;
-        // values, counters, and cache hit sequences must be bit-equal.
+        // Both backends share one fast path; values, counters, and cache
+        // hit sequences must be bit-equal.
         let cfg = small_config();
         let cat = FieldGenerator::new(64, 64).generate(150, 17);
         let scalar = AdaptiveSimulator::new().simulate(&cat, &cfg).unwrap();

@@ -53,8 +53,9 @@ pub struct SimConfig {
     /// PSF evaluation model.
     pub psf: PsfKind,
     /// Virtual-GPU executor strategy for the kernels this config launches.
-    /// Both modes yield identical counters and modeled times; `Batched` is
-    /// the fast default, `Reference` the per-thread ground truth.
+    /// Every mode yields identical counters and modeled times; `Batched` is
+    /// the fast default, `Reference` the per-thread ground truth (image
+    /// reproducibility per mode: see [`ExecMode`]).
     pub exec_mode: ExecMode,
     /// Arithmetic backend for the batched executors' interior fast paths.
     /// `Scalar` (default) is the accuracy baseline; `Simd` evaluates the

@@ -70,9 +70,17 @@ const TRANSFER_CHUNK: usize = 4096;
 
 /// How the executor runs a launch on the host.
 ///
-/// Both modes produce identical counters, identical modeled times, and
-/// (for a fixed worker count) deterministic images; they differ only in
-/// host wall-clock cost.
+/// All three modes produce identical counters and identical modeled times
+/// at any worker count. Images differ in how reproducible they are:
+///
+/// * `Batched` images are bit-identical run to run. At two or more
+///   workers they are the same bits for every worker count (role outputs
+///   merge in ascending role order) and within f32-reassociation distance
+///   of `Reference`; at one worker they equal `Reference`'s one-worker
+///   image bit for bit.
+/// * `Reference` and `Sanitized` deposit through contended CAS float
+///   atomics, so at more than one worker the order of additions — and so
+///   the low bits of some pixels — depends on host thread scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Per-thread interpretation with event traces fed through the warp
@@ -707,7 +715,10 @@ impl VirtualGpu {
     }
 
     /// Binds a layered 2-D texture: models the upload plus the bind call.
-    /// Returns `(texture, upload_time, bind_time)`.
+    /// Returns `(texture, upload_time, bind_time)`. The texture carries its
+    /// whole-layer footprint for this device's texture-cache line size
+    /// ([`Texture::with_layer_footprint`]), so fast paths can replay a
+    /// layer fetch on the per-SM cache in one step.
     pub fn bind_texture(
         &self,
         width: usize,
@@ -728,7 +739,8 @@ impl VirtualGpu {
             layers,
             data,
             self.spec.texture_mem_bytes,
-        )?;
+        )?
+        .with_layer_footprint(self.spec.tex_cache_line);
         let upload = self.transfer.time(MemcpyKind::HostToDevice, bytes);
         Ok((tex, upload, self.cost.tex_bind_overhead_s))
     }

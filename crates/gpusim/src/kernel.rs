@@ -494,11 +494,6 @@ impl<'k> ShadowSet<'k> {
         self.merge_corrupting(false);
     }
 
-    /// [`Self::merge`] with an injected fault: after the (complete,
-    /// correct) drain, re-mark the first buffer's first chunk dirty with a
-    /// poisoned value, simulating in-flight corruption of the recycled
-    /// storage. The image is unaffected — the point is to exercise the
-    /// arena's integrity check, which must drop the buffer, not recycle it.
     /// Drains every accumulator into `out` as compact runs — registering
     /// each target buffer in `targets` (by address) on first sight and
     /// referring to it by slot — then recycles the drained scratch into
@@ -530,6 +525,11 @@ impl<'k> ShadowSet<'k> {
         }
     }
 
+    /// [`Self::merge`] with an injected fault: after the (complete,
+    /// correct) drain, re-mark the first buffer's first chunk dirty with a
+    /// poisoned value, simulating in-flight corruption of the recycled
+    /// storage. The image is unaffected — the point is to exercise the
+    /// arena's integrity check, which must drop the buffer, not recycle it.
     pub(crate) fn merge_corrupting(self, corrupt_first: bool) {
         let mut corrupt = corrupt_first;
         for (buf, mut sb) in self.bufs {

@@ -91,27 +91,74 @@ impl CacheSim {
             self.hits += 1;
             return true;
         }
+        let (slot, hit) = self.lookup_or_fill(line);
+        self.stamps[slot] = self.clock;
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        self.last_line = line;
+        self.last_slot = slot;
+        hit
+    }
+
+    /// Replays an access sequence summarized by `fp`, whose relative lines
+    /// start at absolute line `base_line`, in one step per distinct line.
+    /// Returns the sequence's hit count, or `None` — leaving the cache
+    /// untouched — when the footprint cannot be replayed exactly: it was
+    /// built for another line size, or it spans more distinct lines than
+    /// the cache has ways.
+    ///
+    /// Exactness: under true LRU, a line the sequence has touched carries
+    /// a newer stamp than every line it has not, so while at most `ways`
+    /// distinct lines are in play a miss always evicts an untouched way
+    /// and touched lines stay resident. Every access after a line's first
+    /// is therefore a hit, and the misses, victims and tags are those of
+    /// the first accesses alone, in first-access order. Stamping each line
+    /// with the clock of its *last* access and advancing the clock by the
+    /// access count leaves tags, stamps, clock, statistics and the MRU
+    /// slot exactly as [`Self::access`] would, access by access.
+    pub fn replay(&mut self, fp: &CacheFootprint, base_line: u64) -> Option<u64> {
+        if fp.line_bytes != self.line_bytes || fp.lines.len() > self.ways {
+            return None;
+        }
+        let start = self.clock;
+        let mut misses = 0u64;
+        for (k, l) in fp.lines.iter().enumerate() {
+            let line = base_line + l.line;
+            let (slot, hit) = self.lookup_or_fill(line);
+            misses += u64::from(!hit);
+            self.stamps[slot] = start + l.last + 1;
+            if k == fp.last {
+                self.last_line = line;
+                self.last_slot = slot;
+            }
+        }
+        let hits = fp.accesses - misses;
+        self.clock = start + fp.accesses;
+        self.hits += hits;
+        self.misses += misses;
+        Some(hits)
+    }
+
+    /// The slot holding `line` and `true`, or — on a miss — the slot of
+    /// the set's LRU way, refilled with `line`, and `false`. The caller
+    /// stamps the slot.
+    #[inline]
+    fn lookup_or_fill(&mut self, line: u64) -> (usize, bool) {
         let set = (line % self.sets as u64) as usize;
         let base = set * self.ways;
         let slots = &self.tags[base..base + self.ways];
-
         if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            self.hits += 1;
-            self.last_line = line;
-            self.last_slot = base + way;
-            return true;
+            return (base + way, true);
         }
         // Miss: evict the LRU way of this set.
         let lru = (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w])
             .expect("ways > 0");
         self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
-        self.misses += 1;
-        self.last_line = line;
-        self.last_slot = base + lru;
-        false
+        (base + lru, false)
     }
 
     /// Cache hits so far.
@@ -138,6 +185,75 @@ impl CacheSim {
         self.hits = 0;
         self.misses = 0;
         self.clock = 0;
+    }
+}
+
+/// The cache-line footprint of a fixed access sequence, in lines relative
+/// to a line-aligned base address: the distinct lines in first-access
+/// order, each with the indices of its first and last access.
+/// A sequence that recurs at line-aligned bases — a texture layer fetched
+/// whole, in a fixed order — is summarized once and applied with
+/// [`CacheSim::replay`] instead of access by access.
+#[derive(Debug, Clone)]
+pub struct CacheFootprint {
+    line_bytes: usize,
+    lines: Vec<FootprintLine>,
+    accesses: u64,
+    /// Index into `lines` of the line the sequence touches last.
+    last: usize,
+}
+
+/// One distinct line of a [`CacheFootprint`].
+#[derive(Debug, Clone, Copy)]
+pub struct FootprintLine {
+    /// Line index relative to the sequence's base line.
+    pub line: u64,
+    /// Index of the first access to this line.
+    pub first: u64,
+    /// Index of the last access to this line.
+    pub last: u64,
+}
+
+impl CacheFootprint {
+    /// Summarizes the accesses at byte `offsets` (relative to a
+    /// line-aligned base) for a cache with `line_bytes` lines.
+    ///
+    /// # Panics
+    /// Panics when `line_bytes` is not a power of two.
+    pub fn of_offsets(line_bytes: usize, offsets: impl IntoIterator<Item = u64>) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two, got {line_bytes}"
+        );
+        let shift = line_bytes.trailing_zeros();
+        let mut lines: Vec<FootprintLine> = Vec::new();
+        let mut index = std::collections::HashMap::new();
+        let (mut accesses, mut last) = (0u64, 0usize);
+        for offset in offsets {
+            let line = offset >> shift;
+            let k = *index.entry(line).or_insert_with(|| {
+                lines.push(FootprintLine {
+                    line,
+                    first: accesses,
+                    last: accesses,
+                });
+                lines.len() - 1
+            });
+            lines[k].last = accesses;
+            last = k;
+            accesses += 1;
+        }
+        CacheFootprint {
+            line_bytes,
+            lines,
+            accesses,
+            last,
+        }
+    }
+
+    /// The distinct lines, in first-access order.
+    pub fn lines(&self) -> &[FootprintLine] {
+        &self.lines
     }
 }
 
@@ -232,5 +348,129 @@ mod tests {
     #[should_panic]
     fn bad_geometry_rejected() {
         let _ = CacheSim::new(64, 64, 2); // 1 line, 2 ways
+    }
+
+    /// Everything [`CacheSim::access`] and [`CacheSim::replay`] may change.
+    fn state(c: &CacheSim) -> (u64, u64, u64, Vec<u64>, Vec<u64>, u64, usize) {
+        (
+            c.hits,
+            c.misses,
+            c.clock,
+            c.tags.clone(),
+            c.stamps.clone(),
+            c.last_line,
+            c.last_slot,
+        )
+    }
+
+    /// A random geometry warmed by random accesses over `0..span` lines.
+    fn warmed_cache(rng: &mut simrng::Rng64) -> CacheSim {
+        let line = [32usize, 64, 128][rng.range_usize(0, 3)];
+        let ways = rng.range_usize(1, 17);
+        let sets = rng.range_usize(1, 9);
+        let mut c = CacheSim::new(line * ways * sets, line, ways);
+        let span = (2 * ways * sets) as u64;
+        for _ in 0..rng.range_usize(0, 300) {
+            c.access(rng.range_u64(0, span) * line as u64 + rng.range_u64(0, line as u64));
+        }
+        c
+    }
+
+    /// Byte offsets of `n` accesses drawn from `distinct` random lines,
+    /// each line touched at least once.
+    fn random_offsets(rng: &mut simrng::Rng64, c: &CacheSim, distinct: usize) -> Vec<u64> {
+        let span = (2 * c.ways * c.sets) as u64;
+        let mut lines: Vec<u64> = Vec::new();
+        while lines.len() < distinct {
+            let l = rng.range_u64(0, span);
+            if !lines.contains(&l) {
+                lines.push(l);
+            }
+        }
+        let n = distinct + rng.range_usize(0, 200);
+        let line_bytes = c.line_bytes as u64;
+        let mut picks: Vec<u64> = (0..n)
+            .map(|k| {
+                lines[if k < distinct {
+                    k
+                } else {
+                    rng.range_usize(0, distinct)
+                }]
+            })
+            .collect();
+        // Shuffle so first accesses are spread through the sequence.
+        for i in (1..picks.len()).rev() {
+            picks.swap(i, rng.range_usize(0, i + 1));
+        }
+        picks
+            .into_iter()
+            .map(|l| l * line_bytes + rng.range_u64(0, line_bytes))
+            .collect()
+    }
+
+    #[test]
+    fn footprint_records_first_and_last_access() {
+        let fp = CacheFootprint::of_offsets(64, [0, 70, 10, 200, 64, 5]);
+        let got: Vec<_> = fp
+            .lines()
+            .iter()
+            .map(|l| (l.line, l.first, l.last))
+            .collect();
+        assert_eq!(got, vec![(0, 0, 5), (1, 1, 4), (3, 3, 3)]);
+        assert_eq!((fp.accesses, fp.last), (6, 0));
+    }
+
+    #[test]
+    fn replay_equals_the_per_access_loop() {
+        let mut rng = simrng::Rng64::new(0x5EED_CACE);
+        for _ in 0..2000 {
+            let mut stepped = warmed_cache(&mut rng);
+            let mut replayed = stepped.clone();
+            let distinct = rng.range_usize(1, stepped.ways + 1);
+            let offsets = random_offsets(&mut rng, &stepped, distinct);
+            let base_line = rng.range_u64(0, (2 * stepped.ways * stepped.sets) as u64);
+            let base = base_line * stepped.line_bytes as u64;
+
+            let mut step_hits = 0;
+            for &o in &offsets {
+                step_hits += u64::from(stepped.access(base + o));
+            }
+            let fp = CacheFootprint::of_offsets(stepped.line_bytes, offsets.iter().copied());
+            assert_eq!(replayed.replay(&fp, base_line), Some(step_hits));
+            assert_eq!(state(&replayed), state(&stepped));
+
+            // The two caches stay in lockstep on a random follow-on tail.
+            let span = (3 * stepped.ways * stepped.sets * stepped.line_bytes) as u64;
+            for _ in 0..100 {
+                let a = rng.range_u64(0, span);
+                assert_eq!(replayed.access(a), stepped.access(a));
+            }
+            assert_eq!(state(&replayed), state(&stepped));
+        }
+    }
+
+    #[test]
+    fn replay_refuses_footprints_wider_than_the_ways() {
+        let mut rng = simrng::Rng64::new(0xF007);
+        for _ in 0..200 {
+            let mut c = warmed_cache(&mut rng);
+            let before = state(&c);
+            let offsets = random_offsets(&mut rng, &c, c.ways + 1);
+            let fp = CacheFootprint::of_offsets(c.line_bytes, offsets);
+            assert_eq!(c.replay(&fp, 0), None);
+            assert_eq!(
+                state(&c),
+                before,
+                "a refused replay must not touch the cache"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_refuses_a_foreign_line_size() {
+        let mut c = CacheSim::new(1024, 64, 4);
+        let fp = CacheFootprint::of_offsets(128, [0, 4, 8]);
+        assert_eq!(c.replay(&fp, 0), None);
+        assert_eq!((c.hits(), c.misses()), (0, 0));
     }
 }

@@ -10,6 +10,7 @@
 //! simulator then sees.
 
 use crate::error::GpuError;
+use crate::memory::cache::CacheFootprint;
 use crate::memory::global::AddressSpace;
 
 /// A layered 2-D texture of `f32` texels (a CUDA 2-D layered texture, or
@@ -26,6 +27,19 @@ pub struct Texture {
     /// Texel storage, layer-major, row-major inside a layer (the logical
     /// view; addresses are swizzled separately).
     data: Vec<f32>,
+    /// Cache-line footprint of one whole layer fetched in row-major order
+    /// (see [`Self::with_layer_footprint`]); `None` until computed or when
+    /// layer bases are not line-aligned.
+    layer_footprint: Option<LayerFootprint>,
+}
+
+/// Every layer's row-major fetch sequence touches the same lines relative
+/// to the layer's base line, because layer bases are line-aligned.
+#[derive(Debug)]
+struct LayerFootprint {
+    footprint: CacheFootprint,
+    base_line: u64,
+    lines_per_layer: u64,
 }
 
 impl Texture {
@@ -74,7 +88,46 @@ impl Texture {
             layers,
             pitch_pow2,
             data,
+            layer_footprint: None,
         })
+    }
+
+    /// Computes, once, the `line_bytes` cache-line footprint of fetching a
+    /// whole layer in row-major order — the order a block whose lanes map
+    /// one-to-one onto the texels fetches it. Skipped (the texture keeps
+    /// no footprint) when layer bases are not line-aligned, e.g. for tiny
+    /// layers that share a line: then the line pattern varies by layer.
+    pub fn with_layer_footprint(mut self, line_bytes: usize) -> Self {
+        let layer_bytes = (self.pitch_pow2 * self.pitch_pow2 * 4) as u64;
+        let line = line_bytes as u64;
+        if self.base_addr.is_multiple_of(line) && layer_bytes.is_multiple_of(line) {
+            let offsets = (0..self.height).flat_map(|y| {
+                (0..self.width).map(move |x| (morton2(x as u32, y as u32) * 4) as u64)
+            });
+            self.layer_footprint = Some(LayerFootprint {
+                footprint: CacheFootprint::of_offsets(line_bytes, offsets),
+                base_line: self.base_addr / line,
+                lines_per_layer: layer_bytes / line,
+            });
+        }
+        self
+    }
+
+    /// The whole-layer footprint (see [`Self::with_layer_footprint`]) and
+    /// the base line of `layer` (clamped like [`Self::fetch`]), if the
+    /// footprint was computed.
+    pub fn layer_footprint(&self, layer: usize) -> Option<(&CacheFootprint, u64)> {
+        let lf = self.layer_footprint.as_ref()?;
+        let l = layer.min(self.layers - 1) as u64;
+        Some((&lf.footprint, lf.base_line + l * lf.lines_per_layer))
+    }
+
+    /// The texel rows of `layer` (clamped like [`Self::fetch`]), top to
+    /// bottom, each `width` texels in ascending x.
+    pub fn rows(&self, layer: usize) -> std::slice::ChunksExact<'_, f32> {
+        let texels = self.width * self.height;
+        let l = layer.min(self.layers - 1);
+        self.data[l * texels..(l + 1) * texels].chunks_exact(self.width)
     }
 
     /// Texture width (texels per row).
@@ -225,5 +278,72 @@ mod tests {
         let space = AddressSpace::new();
         assert!(Texture::bind(&space, 0, 4, 1, vec![], usize::MAX).is_err());
         assert!(Texture::bind(&space, 2, 2, 1, vec![0.0; 3], usize::MAX).is_err());
+    }
+
+    #[test]
+    fn rows_are_the_fetched_values() {
+        let t = tex(4, 3, 2);
+        for l in 0..3 {
+            for (y, row) in t.rows(l).enumerate() {
+                let fetched: Vec<f32> = (0..4).map(|x| t.fetch(l, x, y as i64).0).collect();
+                assert_eq!(row, &fetched[..], "layer {l} row {y}");
+            }
+            assert_eq!(t.rows(l).count(), 3);
+        }
+    }
+
+    #[test]
+    fn layer_footprint_replays_every_layer_exactly() {
+        use crate::memory::cache::CacheSim;
+        let space = AddressSpace::new();
+        let (side, layers) = (10, 5);
+        let data = vec![0.0f32; side * side * layers];
+        let t = Texture::bind(&space, side, side, layers, data, usize::MAX)
+            .unwrap()
+            .with_layer_footprint(128);
+        let mut stepped = CacheSim::new(12 * 1024, 128, 16);
+        let mut replayed = stepped.clone();
+        for layer in [0, 3, 3, 1, 4, 0, 7] {
+            let mut hits = 0;
+            for y in 0..side as i64 {
+                for x in 0..side as i64 {
+                    hits += u64::from(stepped.access(t.fetch(layer, x, y).1));
+                }
+            }
+            let (fp, base_line) = t.layer_footprint(layer).expect("aligned layers");
+            assert_eq!(fp.lines().len(), 6, "ROI 10 spans 6 lines of 128 B");
+            assert_eq!(replayed.replay(fp, base_line), Some(hits));
+            assert_eq!(
+                (replayed.hits(), replayed.misses()),
+                (stepped.hits(), stepped.misses())
+            );
+        }
+        // Lockstep afterwards: the replay left the same LRU state.
+        for layer in 0..layers {
+            for y in 0..side as i64 {
+                for x in 0..side as i64 {
+                    let addr = t.fetch(layer, x, y).1;
+                    assert_eq!(replayed.access(addr), stepped.access(addr));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unaligned_layers_get_no_footprint() {
+        // Side 1 layers are 4 B apart and side 3 layers 64 B apart: with
+        // 128 B lines several layers share a line, so no shared pattern.
+        for side in [1, 3] {
+            let t = tex(side, side, 4).with_layer_footprint(128);
+            assert!(t.layer_footprint(0).is_none(), "side {side}");
+        }
+        assert!(tex(3, 3, 4)
+            .with_layer_footprint(64)
+            .layer_footprint(0)
+            .is_some());
+        assert!(
+            tex(10, 10, 1).layer_footprint(0).is_none(),
+            "computed only on request"
+        );
     }
 }

@@ -230,10 +230,10 @@ pub fn erf_f32(x: f32) -> f32 {
 
 /// `dst[i] += src[i]` over a whole span, in lane-width chunks.
 ///
-/// The adaptive kernel's SIMD path stages a fetched LUT row into a stack
-/// buffer and folds it into the shadow accumulator through this helper;
-/// each destination slot receives exactly one add, so the result is
-/// bit-identical to the scalar per-pixel loop.
+/// The adaptive kernel folds each LUT row into the shadow accumulator
+/// through this helper on both backends; each destination slot receives
+/// exactly one add, so the result is bit-identical to a scalar per-pixel
+/// loop.
 #[inline]
 pub fn accumulate(dst: &mut [f32], src: &[f32]) {
     let n = dst.len().min(src.len());

@@ -21,11 +21,19 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo build --release"
-cargo build --release
+# --workspace: the bench smokes below run target/release/starsim-bench,
+# which a root-package build does not produce.
+echo "== cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
+
+# The benchmark's own tests (its workloads in smoke mode, with their digest
+# and pixel checks): a hot-path change that breaks a benchmark check fails
+# here, not only when the benchmark is next run.
+echo "== perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # The backend contract: the exec-modes and sanitizer suites must hold
 # verbatim with the SIMD fast paths selected (counters and modeled times
