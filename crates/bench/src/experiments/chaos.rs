@@ -5,8 +5,8 @@
 //!
 //! 1. **What does the plumbing cost when nothing fails?** The fault hooks
 //!    are compiled in unconditionally, so a device with
-//!    `FaultPlan::none()` must track the pooled+reuse baseline of the
-//!    `throughput` experiment within noise (the PR gate is ≤ 3%).
+//!    `FaultPlan::none()` must track a device without a plan within
+//!    noise (the PR gate is ≤ 3%).
 //! 2. **Does recovery work at speed?** A `FaultPlan::seeded(seed, N)`
 //!    run injects one fault of every kind across `N` frames; every frame
 //!    must complete, and every recovered frame must be bit-identical to

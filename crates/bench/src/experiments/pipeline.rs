@@ -1,21 +1,18 @@
 //! Frame-pipelined scheduler benchmark: the double-buffered producer /
 //! consumer frame loop ([`FrameSequencer::run_frames_pipelined`]) against
-//! the sequential frame loop, with the pre-PR-7 executor scheduling as the
-//! baseline.
+//! the sequential frame loop.
 //!
-//! Three legs at the headline shape (2^13 stars dense in a 10° FOV,
+//! Two legs at the headline shape (2^13 stars dense in a 10° FOV,
 //! ROI 10, 1024×1024 — the paper's test-1 scale as a frame stream):
 //!
-//! * `sequential_legacy` — [`FrameSequencer::run_frames`] on a device with
-//!   the legacy per-worker scheduler (the gate baseline);
-//! * `sequential` — the same loop on the current scheduler (also the
-//!   bit-identity reference);
+//! * `sequential` — [`FrameSequencer::run_frames`] (the gate baseline and
+//!   the bit-identity reference);
 //! * `pipelined` — [`FrameSequencer::run_frames_pipelined`], star gen +
 //!   upload overlapped with kernel + download.
 //!
 //! `BENCH_PR7.json` carries the gates:
 //!
-//! * `speedup_ok` — pipelined FPS ≥ 1.3× the legacy sequential loop;
+//! * `speedup_ok` — pipelined FPS ≥ 1.3× the sequential loop;
 //! * `p99_ok` — pipelined p99 frame latency ≤ 39 ms;
 //! * `bit_identical` — pipelined images, counters and modeled times are
 //!   bit-equal to the sequential loop across a seed × workers × backend
@@ -35,8 +32,8 @@ use super::Context;
 /// `--quick`, so `BENCH_PR7.json` is comparable across runs.
 const HEADLINE_EXPONENT: u32 = 13;
 
-/// The throughput gate: the pipelined loop must beat the legacy-scheduled
-/// sequential loop by at least this factor.
+/// The throughput gate: the pipelined loop must beat the sequential loop
+/// by at least this factor.
 const SPEEDUP_GATE: f64 = 1.3;
 
 /// The tail-latency gate, milliseconds.
@@ -96,8 +93,8 @@ struct Sustained {
 
 /// Runs `reps` bursts of `frames` and keeps the fastest pass (the one
 /// least disturbed by unrelated host load — the same best-of-reps policy
-/// as the `executor` and `throughput` experiments). One untimed warmup
-/// burst populates the pool, the LUT, and the pipeline's device images.
+/// as the `executor` experiment). One untimed warmup burst populates the
+/// pool, the LUT, and the pipeline's device images.
 fn measure(seq: &mut FrameSequencer, frames: usize, reps: usize, pipelined: bool) -> Sustained {
     let run = |seq: &mut FrameSequencer| -> ThroughputReport {
         if pipelined {
@@ -195,7 +192,7 @@ fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
     (all_equal, configs)
 }
 
-/// Runs the three-leg comparison and writes `pipeline.csv` plus the
+/// Runs the two-leg comparison and writes `pipeline.csv` plus the
 /// `BENCH_PR7.json` headline artefact.
 pub fn run(ctx: &Context) -> Table {
     let frames = if ctx.quick { 6 } else { 24 };
@@ -212,18 +209,9 @@ pub fn run(ctx: &Context) -> Table {
 
     let mut t = Table::new(vec!["config", "fps", "p50_ms", "p99_ms"]);
     let mut measured = Vec::new();
-    for (name, legacy, pipelined) in [
-        ("sequential_legacy", true, false),
-        ("sequential", false, false),
-        ("pipelined", false, true),
-    ] {
+    for (name, pipelined) in [("sequential", false), ("pipelined", true)] {
         eprintln!("pipeline: {name} ({frames} frames, {workers} workers) ...");
-        let gpu = if legacy {
-            VirtualGpu::gtx480().with_legacy_scheduler()
-        } else {
-            VirtualGpu::gtx480()
-        };
-        let mut seq = sequencer(gpu, config.clone(), stars, ctx.seed)
+        let mut seq = sequencer(VirtualGpu::gtx480(), config.clone(), stars, ctx.seed)
             .expect("sequencer")
             .with_lut_cache(Arc::clone(&cache));
         let s = measure(&mut seq, frames, reps, pipelined);
@@ -244,7 +232,6 @@ pub fn run(ctx: &Context) -> Table {
             .expect("all legs measured")
             .1
     };
-    let legacy = by_name("sequential_legacy");
     let sequential = by_name("sequential");
     let pipelined = by_name("pipelined");
     let overlap = pipelined
@@ -261,7 +248,7 @@ pub fn run(ctx: &Context) -> Table {
     eprintln!("pipeline: bit-identity sweep ({} seeds) ...", seeds.len());
     let (bit_identical, identity_configs) = identity_sweep(ctx, seeds);
 
-    let ratio = pipelined.fps / legacy.fps;
+    let ratio = pipelined.fps / sequential.fps;
     let speedup_ok = ratio >= SPEEDUP_GATE;
     let p99_ok = pipelined.p99_ms <= P99_GATE_MS;
     let gate_ok = speedup_ok && p99_ok && bit_identical;
@@ -281,8 +268,6 @@ pub fn run(ctx: &Context) -> Table {
             ),
             ("frames", Json::Int(frames as u64)),
             ("workers", Json::Int(workers as u64)),
-            ("sequential_legacy_fps", Json::f3(legacy.fps)),
-            ("sequential_legacy_p99_ms", Json::f3(legacy.p99_ms)),
             ("sequential_fps", Json::f3(sequential.fps)),
             ("sequential_p99_ms", Json::f3(sequential.p99_ms)),
             ("pipelined_fps", Json::f3(pipelined.fps)),
@@ -313,7 +298,7 @@ pub fn run(ctx: &Context) -> Table {
     );
 
     t.row(vec![
-        "speedup (pipelined / sequential_legacy)".to_string(),
+        "speedup (pipelined / sequential)".to_string(),
         speedup(ratio),
         String::new(),
         String::new(),
@@ -338,10 +323,9 @@ mod tests {
             ..Default::default()
         };
         let t = run(&ctx);
-        assert_eq!(t.len(), 4, "three legs plus the speedup row");
+        assert_eq!(t.len(), 3, "two legs plus the speedup row");
         let json = std::fs::read_to_string(dir.join("BENCH_PR7.json")).unwrap();
         for key in [
-            "sequential_legacy_fps",
             "sequential_fps",
             "pipelined_fps",
             "pipelined_p50_ms",

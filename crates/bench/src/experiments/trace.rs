@@ -26,7 +26,7 @@ use super::format::{write_json_object, Json, Table};
 use super::Context;
 
 /// Headline shape: the paper's test-1 workload at 2^13 stars (the same
-/// shape the chaos and throughput gates measure).
+/// shape the chaos and pipeline gates measure).
 const IMAGE_SIZE: usize = 1024;
 const ROI_SIDE: usize = 10;
 const STAR_COUNT: usize = 1 << 13;

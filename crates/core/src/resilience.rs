@@ -14,10 +14,10 @@
 //! | 3    | spawn    | `Reference` | parallel (direct PSF) |
 //!
 //! Rungs 0–1 are *bit-identical*: spawn dispatch changes only how blocks
-//! are assigned to host threads, never the arithmetic or the per-worker
+//! are assigned to host threads, never the arithmetic or the per-role
 //! reduction, so a retried frame matches the fault-free run at the same
 //! worker count exactly. Rung 2 keeps the kernel math but deposits blocks
-//! sequentially instead of through the per-worker shadow merge; the
+//! sequentially instead of through the per-role shadow merge; the
 //! different f32 accumulation order can flip low-order mantissa bits on
 //! pixels covered by several blocks. Rung 3 additionally swaps the
 //! intensity model (direct PSF evaluation instead of the lookup table).

@@ -88,7 +88,7 @@ pub enum ExecMode {
     Reference,
     /// Block-batched fast path: kernels that implement
     /// [`Kernel::run_block`] process a whole block per call with analytic
-    /// counter accounting and per-worker image privatization; kernels that
+    /// counter accounting and per-role image privatization; kernels that
     /// don't are executed block-by-block on the reference path inside the
     /// same schedule.
     #[default]
@@ -128,7 +128,9 @@ impl ExecMode {
 /// A virtual GPU device.
 ///
 /// The device owns every resource with a device lifetime: the persistent
-/// [`WorkerPool`] (one pool serves all launches), the per-SM texture cache
+/// [`WorkerPool`] (one pool serves all launches; the only scheduler — spawn
+/// dispatch is reachable solely as the retry ladder's rung 1 through
+/// [`VirtualGpu::set_dispatch_override`]), the per-SM texture cache
 /// simulators (reset, not rebuilt, per launch), and the [`BufferArena`]
 /// recycling the batched executor's shadow buffers across launches. The
 /// frame loop therefore performs no per-launch allocations proportional to
@@ -141,19 +143,10 @@ pub struct VirtualGpu {
     space: AddressSpace,
     workers: usize,
     exec_mode: ExecMode,
-    /// Persistent worker pool; `None` = per-launch scoped-thread spawning
-    /// (the measured baseline, see [`Self::with_spawn_dispatch`]). Behind a
-    /// mutex so a watchdog-poisoned pool can be torn down and rebuilt at
-    /// the next launch through `&self` (the launch gate serializes access).
-    pool: Option<Mutex<WorkerPool>>,
-    /// When set, batched launches use the pre-PR-7 scheduler: one pool
-    /// lane per worker (even beyond the host's core count) and per-worker
-    /// dense shadow buffers merged after the join. Kept as the measured
-    /// baseline for the pipeline experiment — the new role-extraction
-    /// scheduler below groups float additions per *role* instead of per
-    /// worker, so the two schedulers agree within the usual float
-    /// tolerance but are not bit-equal to each other.
-    legacy_scheduler: bool,
+    /// Persistent worker pool. Behind a mutex so a watchdog-poisoned pool
+    /// can be torn down and rebuilt at the next launch through `&self`
+    /// (the launch gate serializes access).
+    pool: Mutex<WorkerPool>,
     /// Per-launch escape hatch: when set, dispatch bypasses the pool and
     /// spawns scoped threads — the degradation ladder's first rung, usable
     /// through `&self` mid-frame.
@@ -186,9 +179,6 @@ pub struct VirtualGpu {
     /// frame loop). Guarded by the launch gate like the arena; the mutex
     /// satisfies `Sync`.
     runs_pool: Mutex<Vec<RoleRuns>>,
-    /// When `false`, launches allocate caches and shadows fresh each call
-    /// (the allocation baseline, see [`Self::with_buffer_reuse`]).
-    reuse: bool,
     /// Telemetry sink; `None` (the default) keeps every launch free of
     /// trace recording and lane-event drains.
     telemetry: Option<Arc<GpuTelemetry>>,
@@ -285,8 +275,7 @@ impl VirtualGpu {
             exec_mode: ExecMode::default(),
             // `workers` is already ≤ the host's core count here, so this
             // matches `pool_lanes` (which only bites after `with_workers`).
-            pool: Some(Mutex::new(WorkerPool::new(workers))),
-            legacy_scheduler: false,
+            pool: Mutex::new(WorkerPool::new(workers)),
             spawn_override: AtomicBool::new(false),
             fault: None,
             watchdog: None,
@@ -299,7 +288,6 @@ impl VirtualGpu {
             launch_gate: Mutex::new(()),
             arena: BufferArena::new(),
             runs_pool: Mutex::new(Vec::new()),
-            reuse: true,
             telemetry: None,
             utilization: None,
             launch_seq: AtomicU64::new(0),
@@ -334,7 +322,7 @@ impl VirtualGpu {
     /// effect on modeled times or counters). Values beyond the device's SM
     /// count are clamped with a warning — the executor parallelizes over
     /// SMs, so surplus workers would never receive work. Rebuilds the
-    /// worker pool (if pooled dispatch is active) at the new width.
+    /// worker pool at the new width.
     pub fn with_workers(mut self, workers: usize) -> Self {
         let sm_count = self.spec.sm_count as usize;
         let mut workers = workers.max(1);
@@ -346,10 +334,17 @@ impl VirtualGpu {
             workers = sm_count;
         }
         self.workers = workers;
-        if self.pool.is_some() {
-            self.pool = Some(Mutex::new(WorkerPool::new(self.pool_lanes())));
-        }
+        self.pool = Mutex::new(self.fresh_pool());
         self
+    }
+
+    /// A pool at [`Self::pool_lanes`] width whose lane rings record exactly
+    /// when a telemetry sink is attached — the one way the device builds
+    /// or rebuilds its pool, so no rebuild can drop the recording gate.
+    fn fresh_pool(&self) -> WorkerPool {
+        let pool = WorkerPool::new(self.pool_lanes());
+        pool.set_telemetry(self.telemetry.is_some());
+        pool
     }
 
     /// Lanes the persistent pool should hold: one per worker, but never
@@ -362,41 +357,7 @@ impl VirtualGpu {
     /// watchdog, injected-stall, and lane-telemetry machinery live even on
     /// a single-core host — those paths need a real worker lane to fence.
     fn pool_lanes(&self) -> usize {
-        if self.legacy_scheduler {
-            self.workers
-        } else {
-            self.workers.min(default_workers().max(2)).max(1)
-        }
-    }
-
-    /// Replaces pooled dispatch with per-launch scoped-thread spawning —
-    /// the pre-pool behavior, kept as the measured baseline for the
-    /// throughput experiment.
-    pub fn with_spawn_dispatch(mut self) -> Self {
-        self.pool = None;
-        self
-    }
-
-    /// Selects the pre-PR-7 batched scheduler — one pool lane per worker
-    /// and per-worker dense shadows merged post-join, no work stealing —
-    /// kept as the measured baseline for the pipeline experiment.
-    /// Counters and modeled times are bit-equal to the default scheduler;
-    /// images agree within float-summation-grouping tolerance (the default
-    /// scheduler groups per role, the legacy one per worker).
-    pub fn with_legacy_scheduler(mut self) -> Self {
-        self.legacy_scheduler = true;
-        if self.pool.is_some() {
-            self.pool = Some(Mutex::new(WorkerPool::new(self.pool_lanes())));
-        }
-        self
-    }
-
-    /// Enables/disables cross-launch buffer reuse (default on). With reuse
-    /// off, every launch allocates its texture caches and shadow buffers
-    /// fresh — the allocation baseline for the throughput experiment.
-    pub fn with_buffer_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
+        self.workers.min(default_workers().max(2)).max(1)
     }
 
     /// Buffers currently pooled in the shadow arena (diagnostics).
@@ -423,8 +384,8 @@ impl VirtualGpu {
     }
 
     /// Forces (or releases) spawn dispatch for subsequent launches without
-    /// rebuilding the device — the degradation ladder's first rung. No-op
-    /// on a device already built [`Self::with_spawn_dispatch`].
+    /// rebuilding the device — the degradation ladder's first rung: fresh
+    /// scoped threads per launch, bit-identical to pooled dispatch.
     pub fn set_dispatch_override(&self, spawn: bool) {
         self.spawn_override.store(spawn, Ordering::Relaxed);
     }
@@ -440,11 +401,10 @@ impl VirtualGpu {
     /// Attaches or detaches the telemetry sink, propagating the recording
     /// gate to the worker pool's lane rings.
     pub fn set_telemetry(&mut self, sink: Option<Arc<GpuTelemetry>>) {
-        if let Some(pm) = &self.pool {
-            pm.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .set_telemetry(sink.is_some());
-        }
+        self.pool
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .set_telemetry(sink.is_some());
         self.telemetry = sink;
     }
 
@@ -646,16 +606,6 @@ impl VirtualGpu {
         Ok((out, t))
     }
 
-    /// [`Self::download_into`] with verification; see
-    /// [`Self::try_download`].
-    pub fn try_download_into(
-        &self,
-        buf: &GlobalAtomicF32,
-        out: &mut Vec<f32>,
-    ) -> Result<f64, GpuError> {
-        self.verified_download(buf, out, false)
-    }
-
     /// [`Self::download_take`] with verification. Unlike the infallible
     /// path, the device buffer is zeroed only *after* the checksums pass —
     /// a corrupted transfer must leave the device data intact for the
@@ -818,11 +768,10 @@ impl VirtualGpu {
         // straggler) and rebuilt here, so the launch after a timeout runs
         // at full parallel width again. The rebuilt pool inherits the
         // telemetry gate (fresh rings, recording re-enabled).
-        if let Some(pm) = &self.pool {
-            let mut pool = pm.lock().unwrap_or_else(|e| e.into_inner());
+        {
+            let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
             if pool.poisoned() {
-                *pool = WorkerPool::new(self.pool_lanes());
-                pool.set_telemetry(self.telemetry.is_some());
+                *pool = self.fresh_pool();
                 self.pool_rebuilds.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -843,43 +792,17 @@ impl VirtualGpu {
         // caches are reset at every launch entry, and shadow buffers of a
         // panicked launch are dropped, never recycled.)
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            if self.reuse {
-                // Per-SM texture caches (per-SM texture L1 path on Fermi),
-                // reset — not rebuilt — per launch: a reset cache is
-                // indistinguishable from a freshly-constructed one, so
-                // counters are bit-equal to the allocation path below.
-                for cache in &self.caches {
-                    cache.lock().unwrap_or_else(|e| e.into_inner()).reset();
-                }
-                match mode {
-                    ExecMode::Reference => {
-                        self.execute_reference(kernel, &cfg, &self.caches, armed, stamps_ref)
-                    }
-                    ExecMode::Batched => {
-                        self.execute_batched(kernel, &cfg, &self.caches, armed, stamps_ref)
-                    }
-                    ExecMode::Sanitized => self.execute_sanitized(
-                        name,
-                        launch_id,
-                        kernel,
-                        &cfg,
-                        &self.caches,
-                        armed,
-                        stamps_ref,
-                    ),
-                }
-            } else {
-                let caches = Self::build_caches(&self.spec);
-                match mode {
-                    ExecMode::Reference => {
-                        self.execute_reference(kernel, &cfg, &caches, armed, stamps_ref)
-                    }
-                    ExecMode::Batched => {
-                        self.execute_batched(kernel, &cfg, &caches, armed, stamps_ref)
-                    }
-                    ExecMode::Sanitized => self.execute_sanitized(
-                        name, launch_id, kernel, &cfg, &caches, armed, stamps_ref,
-                    ),
+            // Per-SM texture caches (per-SM texture L1 path on Fermi),
+            // reset — not rebuilt — per launch: a reset cache is
+            // indistinguishable from a freshly-constructed one.
+            for cache in &self.caches {
+                cache.lock().unwrap_or_else(|e| e.into_inner()).reset();
+            }
+            match mode {
+                ExecMode::Reference => self.execute_reference(kernel, &cfg, armed, stamps_ref),
+                ExecMode::Batched => self.execute_batched(kernel, &cfg, armed, stamps_ref),
+                ExecMode::Sanitized => {
+                    self.execute_sanitized(name, launch_id, kernel, &cfg, armed, stamps_ref)
                 }
             }
         }));
@@ -916,12 +839,11 @@ impl VirtualGpu {
             // Drain the lane rings while every lane is parked (the launch
             // gate is still held), sort across lanes, and record the trace.
             let mut lane_events = Vec::new();
-            let mut events_dropped = 0;
-            if let Some(pm) = &self.pool {
-                let pool = pm.lock().unwrap_or_else(|e| e.into_inner());
+            let events_dropped = {
+                let pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
                 pool.drain_events(&mut lane_events);
-                events_dropped = pool.events_dropped();
-            }
+                pool.events_dropped()
+            };
             lane_events.sort_by_key(|e| e.t_us);
             sink.record(LaunchTrace {
                 name: name.to_string(),
@@ -951,12 +873,6 @@ impl VirtualGpu {
         Ok(profile)
     }
 
-    /// Whether dispatch should bypass the pool: no pool, or the degradation
-    /// ladder forced spawn dispatch for this frame.
-    fn use_spawn(&self) -> bool {
-        self.pool.is_none() || self.spawn_override.load(Ordering::Relaxed)
-    }
-
     /// Converts a pool timeout into the device-level error, counting it.
     fn timeout_error(&self, t: PoolTimeout) -> GpuError {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -978,9 +894,9 @@ impl VirtualGpu {
     }
 
     /// Dynamic-chunk dispatch through the persistent pool (guarded by the
-    /// watchdog deadline, if any), or through per-call spawned scopes when
-    /// pooled dispatch is off. Both share the same claim order semantics;
-    /// the pool merely reuses parked threads.
+    /// watchdog deadline, if any), or through per-call spawned scopes while
+    /// the spawn override is set. Both share the same claim order
+    /// semantics; the pool merely reuses parked threads.
     fn dispatch_dynamic<F>(
         &self,
         count: usize,
@@ -992,17 +908,15 @@ impl VirtualGpu {
     where
         F: Fn(usize, usize) + Sync,
     {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_guarded(count, workers, chunk, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for(count, workers, chunk, body);
-                Ok(())
-            }
+        if self.spawn_override.load(Ordering::Relaxed) {
+            spawn_parallel_for(count, workers, chunk, body);
+            return Ok(());
         }
+        self.pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .parallel_for_guarded(count, workers, chunk, self.watchdog, stall, body)
+            .map_err(|t| self.timeout_error(t))
     }
 
     /// Static-stride dispatch (index `i` → worker `i % workers`, a pure
@@ -1010,8 +924,8 @@ impl VirtualGpu {
     /// claims roles by work stealing — ragged per-SM block batches no
     /// longer serialize on one lane. Stealing may run two roles of the
     /// same worker concurrently, so callers must accumulate per *role*
-    /// (the extraction scheduler does); per-worker state may only be
-    /// touched through order-insensitive operations.
+    /// (the batched executor does); per-worker state may only be touched
+    /// through order-insensitive operations.
     fn dispatch_static<F>(
         &self,
         count: usize,
@@ -1022,44 +936,15 @@ impl VirtualGpu {
     where
         F: Fn(usize, usize) + Sync,
     {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_static_stealing_guarded(count, workers, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for_static(count, workers, body);
-                Ok(())
-            }
+        if self.spawn_override.load(Ordering::Relaxed) {
+            spawn_parallel_for_static(count, workers, body);
+            return Ok(());
         }
-    }
-
-    /// [`Self::dispatch_static`] without work stealing: each lane runs
-    /// exactly the roles congruent to it, in ascending order — the
-    /// pre-PR-7 schedule the legacy batched strategy's per-worker
-    /// accumulation depends on.
-    fn dispatch_static_legacy<F>(
-        &self,
-        count: usize,
-        workers: usize,
-        stall: Option<(usize, Duration)>,
-        body: F,
-    ) -> Result<(), GpuError>
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_static_guarded(count, workers, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for_static(count, workers, body);
-                Ok(())
-            }
-        }
+        self.pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .parallel_for_static_stealing_guarded(count, workers, self.watchdog, stall, body)
+            .map_err(|t| self.timeout_error(t))
     }
 
     /// The reference executor: every thread interpreted, every warp traced.
@@ -1067,7 +952,6 @@ impl VirtualGpu {
         &self,
         kernel: &K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
@@ -1091,7 +975,7 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut local = Counters::default();
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut block = sm_id;
                 while block < total_blocks {
                     self.run_block_reference(
@@ -1119,14 +1003,12 @@ impl VirtualGpu {
     /// deterministic for any worker count. Counters, hazards, and the
     /// functional output are computed exactly as in
     /// [`Self::execute_reference`].
-    #[allow(clippy::too_many_arguments)]
     fn execute_sanitized<K: Kernel>(
         &self,
         name: &str,
         launch_id: u64,
         kernel: &K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
@@ -1152,7 +1034,7 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut local = Counters::default();
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut slot = slots[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut block = sm_id;
                 while block < total_blocks {
@@ -1197,40 +1079,6 @@ impl VirtualGpu {
     /// image output into private shadows instead of CAS-looping on the
     /// shared target.
     ///
-    /// Two strategies share this entry point. The default extraction
-    /// scheduler accumulates per *role* (SM) and drains each role's sparse
-    /// output while it is still cache-warm, so the image is deterministic
-    /// for *any* worker count ≥ 2 and any lane count; the legacy scheduler
-    /// ([`Self::with_legacy_scheduler`]) keeps the pre-PR-7 per-worker
-    /// dense shadows. Counters and modeled times are bit-equal either way.
-    ///
-    /// Single-worker launches always take the legacy strategy: with one
-    /// worker its single accumulator replays the reference executor's
-    /// addition order exactly (the image starts at zero, so draining the
-    /// one shadow is the same chain of adds), preserving the
-    /// batched-equals-reference-bit-for-bit contract that per-role
-    /// grouping cannot — and at one worker the two schedules are the same
-    /// ascending role walk anyway.
-    fn execute_batched<'k, K: Kernel>(
-        &'k self,
-        kernel: &'k K,
-        cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
-        armed: Option<&ArmedFaults>,
-        stamps: Option<&LaunchStamps>,
-    ) -> Result<Counters, GpuError> {
-        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
-        let workers = self.workers.min(sms.max(1));
-        if self.legacy_scheduler || workers == 1 {
-            self.execute_batched_legacy(kernel, cfg, caches, armed, stamps)
-        } else {
-            self.execute_batched_extracting(kernel, cfg, caches, armed, stamps)
-        }
-    }
-
-    /// The default batched strategy: per-role accumulation with in-dispatch
-    /// sparse extraction.
-    ///
     /// Each role (SM) accumulates its blocks into a dense scratch shadow
     /// drawn from the arena, then — still on the worker lane, while the
     /// touched chunks are cache-warm — drains the scratch into a compact
@@ -1240,15 +1088,22 @@ impl VirtualGpu {
     /// runs sequentially instead of re-walking megabytes of cold dense
     /// shadows. The merge adds role outputs in ascending role order — a
     /// pure function of the launch schedule — so the image is bit-identical
-    /// for every worker count, lane count, and dispatch path (pooled,
+    /// for every worker count ≥ 2, lane count, and dispatch path (pooled,
     /// stolen, or spawned). Per-role accumulation is also what makes work
     /// stealing safe: two roles of the same worker may run concurrently on
     /// different lanes, and they never share an accumulator.
-    fn execute_batched_extracting<'k, K: Kernel>(
+    ///
+    /// At one worker every role runs inline on the launching thread in
+    /// ascending order, and all roles share one launch-wide accumulator,
+    /// extracted once after the last role. Its single chain of adds per
+    /// pixel replays the reference executor's addition order exactly (the
+    /// image starts at zero, so merging the one accumulator is the same
+    /// chain), which keeps the one-worker image equal to `Reference`'s bit
+    /// for bit — a guarantee per-role grouping cannot give.
+    fn execute_batched<'k, K: Kernel>(
         &'k self,
         kernel: &'k K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
@@ -1277,6 +1132,9 @@ impl VirtualGpu {
                 .map(|_| Mutex::new(pool.pop().unwrap_or_default()))
                 .collect()
         };
+        // The one-worker launch-wide accumulator (uncontended: every role
+        // runs inline on the launching thread).
+        let launch_shadow = (workers == 1).then(|| Mutex::new(ShadowSet::with_arena(&self.arena)));
 
         if let Some(s) = stamps {
             s.dispatch_start.set(now_us());
@@ -1290,12 +1148,12 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut counters = Counters::default();
-                let mut shadow = if self.reuse {
-                    ShadowSet::with_arena(&self.arena)
-                } else {
-                    ShadowSet::new()
-                };
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut launch_guard = launch_shadow
+                    .as_ref()
+                    .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
+                let mut role_shadow = ShadowSet::with_arena(&self.arena);
+                let shadow = launch_guard.as_deref_mut().unwrap_or(&mut role_shadow);
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut block = sm_id;
                 while block < total_blocks {
                     let mut bctx = BlockCtx {
@@ -1305,7 +1163,7 @@ impl VirtualGpu {
                         spec: &self.spec,
                         counters: &mut counters,
                         cache: &mut cache,
-                        shadow: &mut shadow,
+                        shadow: &mut *shadow,
                         backend: cfg.backend,
                     };
                     if !kernel.run_block(&mut bctx) {
@@ -1324,12 +1182,14 @@ impl VirtualGpu {
                 // Drain this role's output while its chunks are still
                 // cache-warm; the scratch goes back to the arena drained,
                 // ready for the next role on this lane.
-                let mut out = runs[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                out.clear();
-                shadow.extract_into(
-                    &mut targets.lock().unwrap_or_else(|e| e.into_inner()),
-                    &mut out,
-                );
+                if launch_guard.is_none() {
+                    let mut out = runs[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                    out.clear();
+                    role_shadow.extract_into(
+                        &mut targets.lock().unwrap_or_else(|e| e.into_inner()),
+                        &mut out,
+                    );
+                }
                 counter_slots[worker]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -1344,12 +1204,21 @@ impl VirtualGpu {
         // Deterministic reduction: counters merge in worker order, role
         // outputs in role order — both single-threaded under the launch
         // gate, so the plain read-modify-write in `merge_add_range` is
-        // race-free.
+        // race-free. The one-worker accumulator is extracted as role 0's
+        // output (every other role's run list stays empty).
         let mut counters = Counters::default();
         for s in &counter_slots {
             counters.merge(&s.lock().unwrap_or_else(|e| e.into_inner()));
         }
-        let targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mut targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let (Some(shadow), Some(out)) = (launch_shadow, runs.first()) {
+            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+            out.clear();
+            shadow
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .extract_into(&mut targets, &mut out);
+        }
         {
             let mut pool = self.runs_pool.lock().unwrap_or_else(|e| e.into_inner());
             for r in runs {
@@ -1363,122 +1232,12 @@ impl VirtualGpu {
         }
         // Injected shadow corruption: poison one drained scratch buffer on
         // its way back to the arena, which must screen (drop) it instead
-        // of recycling — same observable as the legacy scheduler's
-        // post-drain corruption of worker 0's buffer.
-        if armed.is_some_and(|a| a.shadow_corrupt) && self.reuse {
+        // of recycling it into a future frame.
+        if armed.is_some_and(|a| a.shadow_corrupt) {
             if let Some(target) = targets.first() {
                 let mut sb = self.arena.take(target.len());
                 sb.poison();
                 self.arena.put(sb);
-            }
-        }
-        counters.shared_hazards += hazards.load(Ordering::Relaxed);
-        if let Some(s) = stamps {
-            s.merge_end.set(now_us());
-        }
-        Ok(counters)
-    }
-
-    /// The pre-PR-7 batched strategy: per-worker dense shadows, merged in
-    /// worker order after the join (image deterministic for a fixed worker
-    /// count only). Selected by [`Self::with_legacy_scheduler`] as the
-    /// measured baseline for the pipeline experiment.
-    fn execute_batched_legacy<'k, K: Kernel>(
-        &'k self,
-        kernel: &'k K,
-        cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
-        armed: Option<&ArmedFaults>,
-        stamps: Option<&LaunchStamps>,
-    ) -> Result<Counters, GpuError> {
-        let sm_count = self.spec.sm_count as usize;
-        let total_blocks = cfg.total_blocks();
-        let sms = sm_count.min(total_blocks);
-        let workers = self.workers.min(sms.max(1));
-        let hazards = AtomicU64::new(0);
-        let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
-
-        struct WorkerState<'k> {
-            counters: Counters,
-            shadow: ShadowSet<'k>,
-        }
-        // One private state per worker. The static (non-stealing) schedule
-        // guarantees each state is only ever touched by its worker, so the
-        // mutexes are uncontended; they exist to satisfy `Sync`. Shadow
-        // storage comes from the device arena when reuse is on — recycled,
-        // not reallocated, across frames.
-        let states: Vec<Mutex<WorkerState<'k>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(WorkerState {
-                    counters: Counters::default(),
-                    shadow: if self.reuse {
-                        ShadowSet::with_arena(&self.arena)
-                    } else {
-                        ShadowSet::new()
-                    },
-                })
-            })
-            .collect();
-
-        if let Some(s) = stamps {
-            s.dispatch_start.set(now_us());
-        }
-        self.dispatch_static_legacy(
-            sms,
-            workers,
-            Self::armed_stall(armed, workers),
-            |sm_id, worker| {
-                if panic_sm == Some(sm_id) {
-                    panic!("injected fault: worker panic on sm {sm_id}");
-                }
-                let mut state = states[worker].lock().unwrap_or_else(|e| e.into_inner());
-                let state = &mut *state;
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut block = sm_id;
-                while block < total_blocks {
-                    let mut bctx = BlockCtx {
-                        block_idx: cfg.grid.delinearize(block),
-                        block_dim: cfg.block,
-                        grid_dim: cfg.grid,
-                        spec: &self.spec,
-                        counters: &mut state.counters,
-                        cache: &mut cache,
-                        shadow: &mut state.shadow,
-                        backend: cfg.backend,
-                    };
-                    if !kernel.run_block(&mut bctx) {
-                        self.run_block_reference(
-                            kernel,
-                            cfg,
-                            block,
-                            &mut state.counters,
-                            &mut cache,
-                            &hazards,
-                            None,
-                        );
-                    }
-                    block += sm_count;
-                }
-            },
-        )?;
-        if let Some(s) = stamps {
-            s.dispatch_end.set(now_us());
-            s.merge_start.set(now_us());
-        }
-
-        // Deterministic reduction: counters and shadows merge in worker
-        // order, single-threaded.
-        let corrupt_shadow = armed.is_some_and(|a| a.shadow_corrupt);
-        let mut counters = Counters::default();
-        for (i, s) in states.into_iter().enumerate() {
-            let state = s.into_inner().unwrap_or_else(|e| e.into_inner());
-            counters.merge(&state.counters);
-            if corrupt_shadow && i == 0 {
-                // Injected shadow corruption hits the first worker's buffer
-                // after its (correct) drain; the arena must drop it.
-                state.shadow.merge_corrupting(true);
-            } else {
-                state.shadow.merge();
             }
         }
         counters.shared_hazards += hazards.load(Ordering::Relaxed);
@@ -1981,79 +1740,6 @@ mod tests {
         );
     }
 
-    /// The spawn baseline and pooled dispatch must be observationally
-    /// identical: same counters, same modeled time, same image.
-    #[test]
-    fn spawn_dispatch_matches_pooled_dispatch() {
-        let run = |spawn: bool, mode: ExecMode| {
-            let mut gpu = VirtualGpu::gtx480().with_workers(4).with_exec_mode(mode);
-            if spawn {
-                gpu = gpu.with_spawn_dispatch();
-            }
-            let n = 4096;
-            let (x, _) = gpu.upload((0..n).map(|i| i as f32).collect::<Vec<_>>());
-            let (y, _) = gpu.upload_atomic_f32(&vec![0.5f32; n]);
-            let k = Saxpy {
-                a: 2.0,
-                x: &x,
-                y: &y,
-                n,
-            };
-            let p = gpu
-                .launch("saxpy", &k, LaunchConfig::new(32u32, 128u32))
-                .unwrap();
-            (p.counters, p.time_s, gpu.download(&y).0)
-        };
-        for mode in [ExecMode::Reference, ExecMode::Batched] {
-            let pooled = run(false, mode);
-            let spawned = run(true, mode);
-            assert_eq!(pooled, spawned, "dispatch strategy must be invisible");
-        }
-    }
-
-    /// Buffer reuse (persistent caches + shadow arena) must be
-    /// observationally identical to allocating everything per launch, and
-    /// the arena must actually recycle across launches.
-    #[test]
-    fn buffer_reuse_matches_alloc_and_recycles() {
-        let run = |reuse: bool| {
-            let gpu = VirtualGpu::gtx480()
-                .with_workers(2)
-                .with_buffer_reuse(reuse);
-            let n = 4096;
-            let (x, _) = gpu.upload(vec![1.0f32; n]);
-            let (y, _) = gpu.upload_atomic_f32(&vec![0.0f32; n]);
-            let k = Saxpy {
-                a: 3.0,
-                x: &x,
-                y: &y,
-                n,
-            };
-            let cfg = LaunchConfig::new(32u32, 128u32);
-            let mut profiles = Vec::new();
-            for _ in 0..3 {
-                profiles.push(gpu.launch("saxpy", &k, cfg).unwrap());
-            }
-            let pooled = gpu.arena_pooled();
-            (
-                profiles
-                    .into_iter()
-                    .map(|p| (p.counters, p.time_s))
-                    .collect::<Vec<_>>(),
-                gpu.download(&y).0,
-                pooled,
-            )
-        };
-        let (prof_reuse, img_reuse, pooled_reuse) = run(true);
-        let (prof_alloc, img_alloc, pooled_alloc) = run(false);
-        assert_eq!(prof_reuse, prof_alloc);
-        assert_eq!(img_reuse, img_alloc);
-        assert_eq!(pooled_alloc, 0, "alloc baseline must not populate arena");
-        // Saxpy has no run_block fast path, so no shadows are registered
-        // here; arena recycling itself is covered by kernel.rs tests.
-        let _ = pooled_reuse;
-    }
-
     #[test]
     fn workers_clamped_to_sm_count() {
         let gpu = VirtualGpu::gtx480().with_workers(1000);
@@ -2216,46 +1902,78 @@ mod tests {
     #[test]
     fn telemetry_records_launch_traces_with_lane_events() {
         let sink = Arc::new(GpuTelemetry::new());
-        let gpu = VirtualGpu::gtx480()
-            .with_workers(4)
-            .with_telemetry(Arc::clone(&sink));
         let expected = saxpy_frame(&VirtualGpu::gtx480().with_workers(4), 4096).unwrap();
-        let traced = saxpy_frame(&gpu, 4096).unwrap();
-        assert_eq!(traced, expected, "telemetry must not perturb results");
+        // Both builder orders: rebuilding the pool for a new width must
+        // keep the lane rings recording.
+        let devices = [
+            VirtualGpu::gtx480()
+                .with_workers(4)
+                .with_telemetry(Arc::clone(&sink)),
+            VirtualGpu::gtx480()
+                .with_telemetry(Arc::clone(&sink))
+                .with_workers(4),
+        ];
+        for gpu in &devices {
+            let traced = saxpy_frame(gpu, 4096).unwrap();
+            assert_eq!(traced, expected, "telemetry must not perturb results");
 
-        let launches = sink.take_launches();
-        assert_eq!(launches.len(), 1);
-        let t = &launches[0];
-        assert_eq!(t.name, "saxpy");
-        assert_eq!(t.mode, "batched");
-        assert_eq!(t.launch, 0);
-        assert!(t.end_us >= t.start_us);
-        let (d0, d1) = t.dispatch_us.expect("dispatch window stamped");
-        assert!(d0 >= t.start_us && d1 >= d0);
-        let (m0, m1) = t.merge_us.expect("batched launch stamps a merge");
-        assert!(m0 >= d1 && m1 >= m0);
-        assert!(t.modeled_kernel_s > 0.0);
-        assert!(
-            t.lane_events
-                .iter()
-                .any(|e| e.kind == crate::telemetry::LaneEventKind::Launch),
-            "lane events must include the publish: {:?}",
-            t.lane_events
-        );
-        assert!(t.lane_events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-        assert_eq!(t.events_dropped, 0);
-        assert!(sink.is_empty(), "take_launches drains the sink");
+            let launches = sink.take_launches();
+            assert_eq!(launches.len(), 1);
+            let t = &launches[0];
+            assert_eq!(t.name, "saxpy");
+            assert_eq!(t.mode, "batched");
+            assert_eq!(t.launch, 0);
+            assert!(t.end_us >= t.start_us);
+            let (d0, d1) = t.dispatch_us.expect("dispatch window stamped");
+            assert!(d0 >= t.start_us && d1 >= d0);
+            let (m0, m1) = t.merge_us.expect("batched launch stamps a merge");
+            assert!(m0 >= d1 && m1 >= m0);
+            assert!(t.modeled_kernel_s > 0.0);
+            assert!(
+                t.lane_events
+                    .iter()
+                    .any(|e| e.kind == crate::telemetry::LaneEventKind::Launch),
+                "lane events must include the publish: {:?}",
+                t.lane_events
+            );
+            assert!(t.lane_events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+            assert_eq!(t.events_dropped, 0);
+            assert!(sink.is_empty(), "take_launches drains the sink");
+        }
     }
 
+    /// Spawn dispatch — the retry ladder's first rung, reached through the
+    /// dispatch override — must be observationally identical to pooled
+    /// dispatch in both executors: same counters, modeled time and image.
     #[test]
     fn dispatch_override_matches_pooled_results() {
-        let gpu = VirtualGpu::gtx480().with_workers(4);
-        let pooled = saxpy_frame(&gpu, 4096).unwrap();
-        gpu.set_dispatch_override(true);
-        let spawned = saxpy_frame(&gpu, 4096).unwrap();
-        gpu.set_dispatch_override(false);
-        let pooled_again = saxpy_frame(&gpu, 4096).unwrap();
-        assert_eq!(pooled, spawned, "ladder rung 1 must be bit-identical");
-        assert_eq!(pooled, pooled_again);
+        let run = |gpu: &VirtualGpu| {
+            let n = 4096;
+            let (x, _) = gpu.upload((0..n).map(|i| i as f32).collect::<Vec<_>>());
+            let (y, _) = gpu.upload_atomic_f32(&vec![0.5f32; n]);
+            let k = Saxpy {
+                a: 2.0,
+                x: &x,
+                y: &y,
+                n,
+            };
+            let p = gpu
+                .launch("saxpy", &k, LaunchConfig::new(32u32, 128u32))
+                .unwrap();
+            (p.counters, p.time_s, gpu.download(&y).0)
+        };
+        for mode in [ExecMode::Reference, ExecMode::Batched] {
+            let gpu = VirtualGpu::gtx480().with_workers(4).with_exec_mode(mode);
+            let pooled = run(&gpu);
+            gpu.set_dispatch_override(true);
+            let spawned = run(&gpu);
+            gpu.set_dispatch_override(false);
+            let pooled_again = run(&gpu);
+            assert_eq!(
+                pooled, spawned,
+                "ladder rung 1 must be bit-identical ({mode:?})"
+            );
+            assert_eq!(pooled, pooled_again);
+        }
     }
 }

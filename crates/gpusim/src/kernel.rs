@@ -201,12 +201,12 @@ const SHADOW_CHUNK: usize = 16;
 
 /// A recycling pool of shadow buffers (see [`ShadowBuf`]).
 ///
-/// The batched executor allocates one full-image shadow per worker per
-/// launch; at frame rates those multi-megabyte allocations dominate. The
-/// arena keeps *drained* (all-zero, dirty-clear) buffers from finished
-/// launches and hands them back to the next one — clear, don't reallocate.
-/// Buffers are returned only by [`ShadowSet::merge`], which zeroes every
-/// dirty chunk as it merges, so a recycled buffer needs no zeroing pass; a
+/// The batched executor draws a full-image scratch shadow per role; at
+/// frame rates fresh multi-megabyte allocations would dominate. The arena
+/// keeps *drained* (all-zero, dirty-clear) buffers from finished roles and
+/// hands them back to the next one — clear, don't reallocate. Buffers are
+/// returned only by [`ShadowSet::extract_into`], which zeroes every dirty
+/// chunk as it extracts, so a recycled buffer needs no zeroing pass; a
 /// launch that panics simply drops its buffers instead of recycling them.
 ///
 /// The drained-buffer invariant is *enforced*, not assumed: both `put` and
@@ -222,7 +222,7 @@ pub struct BufferArena {
 }
 
 /// Upper bound on pooled buffers: enough for every worker of the widest
-/// device shape (one shadow per SM-worker plus slack); beyond it, returned
+/// device shape (one shadow per SM plus slack); beyond it, returned
 /// buffers are dropped instead of hoarded.
 const ARENA_CAP: usize = 64;
 
@@ -243,7 +243,7 @@ impl BufferArena {
     }
 
     /// A drained buffer resized for `len` values. Recycled buffers are
-    /// all-zero by the merge contract; a size change falls back to
+    /// all-zero by the extraction contract; a size change falls back to
     /// clear-and-resize, and a buffer failing the drained check is dropped
     /// (defense in depth — `put` already screens).
     pub(crate) fn take(&self, len: usize) -> ShadowBuf {
@@ -299,13 +299,13 @@ fn dirty_words(len: usize) -> usize {
     len.div_ceil(SHADOW_CHUNK).div_ceil(64)
 }
 
-/// One worker's private shadow of an `atomicAdd` target buffer, with a
+/// One role's private shadow of an `atomicAdd` target buffer, with a
 /// coarse dirty bitmap (one bit per [`SHADOW_CHUNK`] values).
 ///
-/// The bitmap makes the merge and the drain proportional to the *touched*
-/// footprint instead of the buffer length — with many workers each shadow
-/// holds a thin slice of the image, and scanning megabytes of untouched
-/// zeros per worker would dwarf the actual merge work.
+/// The bitmap makes the drain proportional to the *touched* footprint
+/// instead of the buffer length — each role's shadow holds a thin slice of
+/// the image, and scanning megabytes of untouched zeros per role would
+/// dwarf the actual extraction work.
 #[derive(Debug)]
 pub struct ShadowBuf {
     vals: Vec<f32>,
@@ -366,13 +366,6 @@ impl ShadowBuf {
         }
     }
 
-    /// Merges every non-zero value into `buf` in ascending index order and
-    /// drains the shadow back to the all-zero state (values zeroed, dirty
-    /// bits cleared) so the arena can recycle it without a clearing pass.
-    fn drain_into(&mut self, buf: &GlobalAtomicF32) {
-        self.drain_runs(|start, span| buf.merge_drain_range(start, span));
-    }
-
     /// Marks the buffer corrupted — first value poisoned, first dirty bit
     /// re-set — simulating in-flight corruption of drained storage. Used
     /// by fault injection to exercise the arena's integrity screen.
@@ -415,39 +408,34 @@ impl RoleRuns {
     }
 }
 
-/// Per-worker private shadows of `atomicAdd` target buffers.
+/// Per-role private shadows of `atomicAdd` target buffers.
 ///
 /// Instead of CAS-looping on the shared [`GlobalAtomicF32`] from every
-/// worker, each worker of the batched executor accumulates into a private
-/// `f32` image registered here, and the executor merges the shadows into
-/// their targets in worker order once all workers have joined. The merge is
-/// single-threaded, so the result is deterministic for a fixed worker
-/// count; modeled atomic traffic is accounted analytically by the kernel's
+/// worker, each role (SM) of the batched executor accumulates into a
+/// private `f32` image registered here. The role's output is extracted
+/// into a compact run list ([`Self::extract_into`]) and the executor adds
+/// the run lists into their targets in ascending role order once all
+/// workers have joined. That merge is single-threaded and its order is a
+/// function of the launch schedule alone, so the result is deterministic;
+/// modeled atomic traffic is accounted analytically by the kernel's
 /// `run_block`, unaffected by this host-side strategy.
 ///
-/// When built [`Self::with_arena`], shadow storage is recycled across
-/// launches instead of reallocated — the zero-allocation frame loop.
-#[derive(Debug, Default)]
+/// Shadow storage is drawn from, and returned to, a [`BufferArena`] —
+/// recycled across launches instead of reallocated, the zero-allocation
+/// frame loop.
+#[derive(Debug)]
 pub struct ShadowSet<'k> {
     bufs: Vec<(&'k GlobalAtomicF32, ShadowBuf)>,
-    arena: Option<&'k BufferArena>,
+    arena: &'k BufferArena,
 }
 
 impl<'k> ShadowSet<'k> {
-    /// An empty shadow set allocating fresh storage per buffer.
-    pub fn new() -> Self {
-        ShadowSet {
-            bufs: Vec::new(),
-            arena: None,
-        }
-    }
-
     /// An empty shadow set drawing storage from (and returning it to)
     /// `arena`.
     pub fn with_arena(arena: &'k BufferArena) -> Self {
         ShadowSet {
             bufs: Vec::new(),
-            arena: Some(arena),
+            arena,
         }
     }
 
@@ -467,39 +455,17 @@ impl<'k> ShadowSet<'k> {
         if let Some(pos) = self.bufs.iter().position(|(b, _)| std::ptr::eq(*b, buf)) {
             return &mut self.bufs[pos].1;
         }
-        let sb = match self.arena {
-            Some(arena) => arena.take(buf.len()),
-            None => ShadowBuf {
-                vals: vec![0.0; buf.len()],
-                dirty: vec![0; dirty_words(buf.len())],
-            },
-        };
+        let sb = self.arena.take(buf.len());
         self.bufs.push((buf, sb));
         &mut self.bufs.last_mut().expect("just pushed").1
-    }
-
-    /// Adds every accumulated value into its target buffer (ascending index
-    /// order per buffer) and recycles drained storage into the arena, if
-    /// any. Called by the executor with all workers joined, so the plain
-    /// read-modify-write in [`GlobalAtomicF32::merge_add_range`] is
-    /// race-free.
-    ///
-    /// With an arena, the merge walks only dirty chunks — it must drain the
-    /// buffer back to all-zero for recycling anyway, so the bitmap pays for
-    /// itself. Without one, storage is dropped after the merge and draining
-    /// would be wasted work: the merge is the pre-arena full-range scan.
-    /// Both walk each buffer in ascending index order and skip zeros, so
-    /// the merged values are bit-identical.
-    pub(crate) fn merge(self) {
-        self.merge_corrupting(false);
     }
 
     /// Drains every accumulator into `out` as compact runs — registering
     /// each target buffer in `targets` (by address) on first sight and
     /// referring to it by slot — then recycles the drained scratch into
-    /// the arena, if any.
+    /// the arena.
     ///
-    /// This is the extraction scheduler's per-role drain: it runs on the
+    /// This is the batched executor's per-role drain: it runs on the
     /// worker lane right after the role's blocks, while the touched chunks
     /// are cache-warm. The extracted values are exactly the per-role
     /// accumulated values in ascending index order, so a later
@@ -519,31 +485,7 @@ impl<'k> ShadowSet<'k> {
                 out.vals.extend_from_slice(span);
                 span.fill(0.0);
             });
-            if let Some(arena) = self.arena {
-                arena.put(sb);
-            }
-        }
-    }
-
-    /// [`Self::merge`] with an injected fault: after the (complete,
-    /// correct) drain, re-mark the first buffer's first chunk dirty with a
-    /// poisoned value, simulating in-flight corruption of the recycled
-    /// storage. The image is unaffected — the point is to exercise the
-    /// arena's integrity check, which must drop the buffer, not recycle it.
-    pub(crate) fn merge_corrupting(self, corrupt_first: bool) {
-        let mut corrupt = corrupt_first;
-        for (buf, mut sb) in self.bufs {
-            if let Some(arena) = self.arena {
-                sb.drain_into(buf);
-                if corrupt && !sb.vals.is_empty() {
-                    sb.vals[0] = f32::NAN;
-                    sb.dirty[0] |= 1;
-                    corrupt = false;
-                }
-                arena.put(sb);
-            } else {
-                buf.merge_add_range(0, &sb.vals);
-            }
+            self.arena.put(sb);
         }
     }
 }
@@ -849,15 +791,24 @@ mod tests {
         assert!(c.exited());
     }
 
+    /// The executor's per-role drain followed by its post-join merge.
+    fn extract_and_merge(shadow: ShadowSet<'_>) {
+        let mut targets = Vec::new();
+        let mut runs = RoleRuns::default();
+        shadow.extract_into(&mut targets, &mut runs);
+        runs.merge_into(&targets);
+    }
+
     #[test]
     fn shadow_set_merges_into_targets() {
         let space = AddressSpace::new();
         let img = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0]);
-        let mut shadow = ShadowSet::new();
+        let arena = BufferArena::new();
+        let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&img, 0, 0.5);
         shadow.add(&img, 2, 1.0);
         shadow.add(&img, 2, 1.0);
-        shadow.merge();
+        extract_and_merge(shadow);
         assert_eq!(img.to_host(), vec![1.5, 2.0, 5.0]);
     }
 
@@ -866,7 +817,8 @@ mod tests {
         let space = AddressSpace::new();
         // Large enough that an unmarked merge scan would visit many chunks.
         let img = GlobalAtomicF32::zeroed(&space, 1024);
-        let mut shadow = ShadowSet::new();
+        let arena = BufferArena::new();
+        let mut shadow = ShadowSet::with_arena(&arena);
         let acc = shadow.accumulator(&img);
         // A span crossing a chunk boundary.
         let span = acc.span_mut(60, 70);
@@ -874,7 +826,7 @@ mod tests {
             *v += 2.0;
         }
         acc.add(1000, 3.0);
-        shadow.merge();
+        extract_and_merge(shadow);
         let host = img.to_host();
         for (i, &v) in host.iter().enumerate() {
             let expect = match i {
@@ -894,16 +846,16 @@ mod tests {
         {
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
-            shadow.merge();
+            extract_and_merge(shadow);
         }
-        assert_eq!(arena.pooled(), 1, "merge must return the buffer");
+        assert_eq!(arena.pooled(), 1, "extraction must return the buffer");
         {
             // Second use draws the recycled (drained) buffer; the merged
             // result must be indistinguishable from a fresh allocation.
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
             shadow.add(&img, 255, 4.0);
-            shadow.merge();
+            extract_and_merge(shadow);
         }
         assert_eq!(arena.pooled(), 1);
         assert_eq!(img.read(7), 2.0);
@@ -918,10 +870,10 @@ mod tests {
         let arena = BufferArena::new();
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&small, 3, 1.0);
-        shadow.merge();
+        extract_and_merge(shadow);
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&big, 4095, 2.0);
-        shadow.merge();
+        extract_and_merge(shadow);
         assert_eq!(small.read(3), 1.0);
         assert_eq!(big.read(4095), 2.0);
     }
@@ -934,8 +886,12 @@ mod tests {
         {
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
-            // Injected corruption: the buffer comes back non-drained.
-            shadow.merge_corrupting(true);
+            extract_and_merge(shadow);
+            // Injected corruption, as the executor injects it: the drained
+            // buffer comes back non-drained.
+            let mut sb = arena.take(256);
+            sb.poison();
+            arena.put(sb);
         }
         assert_eq!(arena.pooled(), 0, "corrupted buffer must not be pooled");
         assert_eq!(arena.dropped(), 1);
@@ -944,7 +900,7 @@ mod tests {
         // The next launch allocates fresh and the frame stays clean.
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&img, 7, 1.0);
-        shadow.merge();
+        extract_and_merge(shadow);
         assert_eq!(arena.pooled(), 1);
         assert_eq!(img.read(7), 2.0);
         for i in 0..256 {
