@@ -3,6 +3,7 @@
 
 include!("common/harness.rs");
 
+use gpusim::VirtualGpu;
 use starfield::FieldGenerator;
 use starsim_core::{
     AdaptiveSession, AdaptiveSimulator, ParallelSimulator, PixelCentricSimulator,
@@ -46,7 +47,7 @@ fn bench_session_frames() {
     // Per-frame cost of the persistent adaptive session (setup excluded).
     let catalog = FieldGenerator::new(512, 512).generate(2048, 3);
     let config = SimConfig::new(512, 512, 10);
-    let session = AdaptiveSession::new(config).unwrap();
+    let session = AdaptiveSession::on(VirtualGpu::gtx480(), config).unwrap();
     bench("session/adaptive_session_frame", || {
         session.render(&catalog).unwrap()
     });

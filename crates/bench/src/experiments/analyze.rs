@@ -178,7 +178,7 @@ fn denied_with<K: gpusim::Kernel>(
 fn advisor_leg(ctx: &Context, size: usize, cat: &StarCatalog, frames: usize) -> u64 {
     let mut config = ctx.sim_config(size, size, ROI_SIDE);
     config.analyze = true;
-    let session = AdaptiveSession::new(config).expect("session");
+    let session = AdaptiveSession::on(VirtualGpu::gtx480(), config).expect("session");
     let mut host = Vec::new();
     for _ in 0..frames {
         session.render_into(cat, &mut host).expect("render");

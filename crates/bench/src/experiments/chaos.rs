@@ -62,7 +62,10 @@ fn session(ctx: &Context, workers: usize, plan: Option<Arc<FaultPlan>>) -> Adapt
                 backoff: Duration::ZERO,
                 ..RetryPolicy::default()
             };
-            AdaptiveSession::on_resilient(gpu, config, policy).expect("resilient session")
+            AdaptiveSession::builder(gpu, config)
+                .retry(policy)
+                .open()
+                .expect("resilient session")
         }
     }
 }

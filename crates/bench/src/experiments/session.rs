@@ -2,6 +2,7 @@
 //! frames (the paper's realistic deployed-simulator mode), the adaptive
 //! design's non-kernel penalty vanishes and the inflection point with it.
 
+use gpusim::VirtualGpu;
 use starfield::workload;
 use starsim_core::{AdaptiveSession, ParallelSimulator, Simulator};
 
@@ -17,7 +18,7 @@ pub fn run(ctx: &Context) -> Table {
         vec![8, 10, 12, 13, 14, 16]
     };
     let config = ctx.sim_config(1024, 1024, 10);
-    let session = AdaptiveSession::new(config.clone()).expect("session");
+    let session = AdaptiveSession::on(VirtualGpu::gtx480(), config.clone()).expect("session");
     let par = ParallelSimulator::new();
 
     let mut t = Table::new(vec![

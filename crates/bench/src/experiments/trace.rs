@@ -50,13 +50,11 @@ fn session(
         None => AdaptiveSession::on(VirtualGpu::gtx480(), config).expect("session"),
         Some(t) => {
             let cache = LutCache::new();
-            AdaptiveSession::on_telemetry(
-                VirtualGpu::gtx480(),
-                config,
-                Some(&cache),
-                std::sync::Arc::clone(t),
-            )
-            .expect("telemetry session")
+            AdaptiveSession::builder(VirtualGpu::gtx480(), config)
+                .lut_cache(&cache, None)
+                .telemetry(std::sync::Arc::clone(t))
+                .open()
+                .expect("telemetry session")
         }
     }
 }

@@ -18,6 +18,12 @@
 //! the caller — and is required to be *bit-identical* to the sequential
 //! schedule: same images, same counters, same modeled times, for every
 //! seed, worker count and kernel backend.
+//!
+//! Every schedule renders through the session's one frame path
+//! ([`crate::AdaptiveSession::render`], `render_into` and
+//! `render_prepared_into` share it), so the session's retry policy, shed
+//! floor and cancel token apply to [`FrameSequencer::next_frame`] exactly
+//! as to the bursts.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -59,31 +65,12 @@ pub struct FrameSequencer {
 }
 
 impl FrameSequencer {
-    /// Creates a sequencer. `config.width/height` must match the camera.
+    /// Creates a sequencer on `gpu` — the injection point for fault plans,
+    /// watchdog deadlines, and worker counts. `config.width/height` must
+    /// match the camera.
     ///
     /// The smear PSF is engaged automatically whenever the commanded rate
     /// streaks stars by more than half a pixel over the exposure.
-    pub fn new(
-        sky: SkyCatalog,
-        camera: Camera,
-        dynamics: AttitudeDynamics,
-        config: SimConfig,
-        exposure_s: f64,
-        frame_dt: f64,
-    ) -> Result<Self, SimError> {
-        Self::on_device(
-            VirtualGpu::gtx480(),
-            sky,
-            camera,
-            dynamics,
-            config,
-            exposure_s,
-            frame_dt,
-        )
-    }
-
-    /// Creates a sequencer on a caller-provided device — the injection
-    /// point for fault plans, watchdog deadlines, and worker counts.
     pub fn on_device(
         gpu: VirtualGpu,
         sky: SkyCatalog,
@@ -93,17 +80,7 @@ impl FrameSequencer {
         exposure_s: f64,
         frame_dt: f64,
     ) -> Result<Self, SimError> {
-        if (camera.width, camera.height) != (config.width, config.height) {
-            return Err(SimError::InvalidConfig(format!(
-                "camera {}x{} does not match config {}x{}",
-                camera.width, camera.height, config.width, config.height
-            )));
-        }
-        if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
-            return Err(SimError::InvalidConfig(format!(
-                "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
-            )));
-        }
+        check_camera_and_exposure(&camera, &config, exposure_s, frame_dt)?;
         let session = AdaptiveSession::on(
             gpu,
             Self::frame_config(&config, &camera, &dynamics, exposure_s),
@@ -124,10 +101,11 @@ impl FrameSequencer {
 
     /// Wraps an already-open session — the server path, where the session
     /// was opened through a shared tenant-attributed [`LutCache`]
-    /// ([`AdaptiveSession::on_cached_tenant`]) before the sequencer
-    /// exists. The session's config becomes the base config; the attitude
-    /// rate must not engage the smear PSF (the session's lookup table was
-    /// built for the base optics), or construction fails.
+    /// ([`AdaptiveSession::builder`] with
+    /// [`lut_cache`](crate::SessionBuilder::lut_cache)) before the
+    /// sequencer exists. The session's config becomes the base config; the
+    /// attitude rate must not engage the smear PSF (the session's lookup
+    /// table was built for the base optics), or construction fails.
     pub fn on_session(
         session: AdaptiveSession,
         sky: SkyCatalog,
@@ -137,17 +115,7 @@ impl FrameSequencer {
         frame_dt: f64,
     ) -> Result<Self, SimError> {
         let base_config = session.config().clone();
-        if (camera.width, camera.height) != (base_config.width, base_config.height) {
-            return Err(SimError::InvalidConfig(format!(
-                "camera {}x{} does not match session config {}x{}",
-                camera.width, camera.height, base_config.width, base_config.height
-            )));
-        }
-        if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
-            return Err(SimError::InvalidConfig(format!(
-                "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
-            )));
-        }
+        check_camera_and_exposure(&camera, &base_config, exposure_s, frame_dt)?;
         if Self::frame_config(&base_config, &camera, &dynamics, exposure_s) != base_config {
             return Err(SimError::InvalidConfig(
                 "attitude rate engages the smear PSF, but the session's lookup \
@@ -196,8 +164,8 @@ impl FrameSequencer {
         config
     }
 
-    /// Enables the bounded-retry degradation ladder for
-    /// [`Self::run_frames`] bursts.
+    /// Enables the bounded-retry degradation ladder for every frame,
+    /// whether rendered by [`Self::next_frame`] or in a burst.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.session.set_retry_policy(Some(policy));
         self
@@ -301,9 +269,7 @@ impl FrameSequencer {
     pub fn run_frames(&mut self, n: usize) -> Result<ThroughputReport, SimError> {
         assert!(n > 0, "need at least one frame");
         let mut host = Vec::new();
-        let mut latencies_s = Vec::with_capacity(n);
-        let mut app_time_s = 0.0;
-        let mut totals = PhaseTotals::default();
+        let mut totals = BurstTotals::default();
         let mut produce_busy_s = 0.0;
         let mut consume_busy_s = 0.0;
         let start = std::time::Instant::now();
@@ -321,37 +287,12 @@ impl FrameSequencer {
             let t1 = Instant::now();
             let timing = self.session.render_into(&catalog, &mut host)?;
             consume_busy_s += t1.elapsed().as_secs_f64();
-            latencies_s.push(timing.wall_time_s);
-            app_time_s += timing.app_time_s;
             totals.absorb(&timing);
             self.dynamics.step(self.frame_dt);
             self.time_s += self.frame_dt;
         }
         let elapsed_s = start.elapsed().as_secs_f64();
-        latencies_s.sort_by(f64::total_cmp);
-        Ok(ThroughputReport {
-            frames: n,
-            elapsed_s,
-            p50_ms: percentile_ms(&latencies_s, 50.0),
-            p99_ms: percentile_ms(&latencies_s, 99.0),
-            mean_app_time_s: app_time_s / n as f64,
-            resilience: self.session.resilience_report(),
-            diagnostics: self.session.diagnostics(),
-            overlap: Some(overlap_report(
-                n,
-                &totals,
-                produce_busy_s,
-                consume_busy_s,
-                elapsed_s,
-            )),
-            lut_cache: self.lut_cache.as_ref().map(|c| c.stats()),
-            lut_prefetch_s: 0.0,
-            telemetry: self
-                .session
-                .telemetry()
-                .map(|t| t.frame_telemetry())
-                .map(Box::new),
-        })
+        Ok(self.throughput_report(totals, produce_busy_s, consume_busy_s, elapsed_s, 0.0))
     }
 
     /// Renders `n` frames through the frame-pipelined schedule: a scoped
@@ -408,9 +349,7 @@ impl FrameSequencer {
         let lut_cache = self.lut_cache.clone();
 
         let mut host = Vec::new();
-        let mut latencies_s = Vec::with_capacity(n);
-        let mut app_time_s = 0.0;
-        let mut totals = PhaseTotals::default();
+        let mut totals = BurstTotals::default();
         let mut consume_busy_s = 0.0;
         let mut completed = 0usize;
         let mut error: Option<SimError> = None;
@@ -468,8 +407,6 @@ impl FrameSequencer {
                 match session.render_prepared_into(&prepared, image_dev, &mut host) {
                     Ok(timing) => {
                         drop(frame_span);
-                        latencies_s.push(timing.wall_time_s);
-                        app_time_s += timing.app_time_s;
                         totals.absorb(&timing);
                         let time_s = start_time_s + completed as f64 * frame_dt;
                         let frame = PipelinedFrame {
@@ -523,17 +460,39 @@ impl FrameSequencer {
             // cancel; the drain semantics above were identical either way.
             return Err(token.cancel_error());
         }
-        latencies_s.sort_by(f64::total_cmp);
-        Ok(ThroughputReport {
-            frames: n,
+        Ok(self.throughput_report(
+            totals,
+            produce_busy_s,
+            consume_busy_s,
             elapsed_s,
-            p50_ms: percentile_ms(&latencies_s, 50.0),
-            p99_ms: percentile_ms(&latencies_s, 99.0),
-            mean_app_time_s: app_time_s / n as f64,
+            lut_prefetch_s,
+        ))
+    }
+
+    /// The report of a completed burst: latency percentiles over the
+    /// per-frame wall times, the mean modeled frame time, the overlap
+    /// accounting, and the session's resilience, diagnostics, cache and
+    /// telemetry state as of the end of the burst.
+    fn throughput_report(
+        &self,
+        mut totals: BurstTotals,
+        produce_busy_s: f64,
+        consume_busy_s: f64,
+        elapsed_s: f64,
+        lut_prefetch_s: f64,
+    ) -> ThroughputReport {
+        let frames = totals.latencies_s.len();
+        totals.latencies_s.sort_by(f64::total_cmp);
+        ThroughputReport {
+            frames,
+            elapsed_s,
+            p50_ms: percentile_ms(&totals.latencies_s, 50.0),
+            p99_ms: percentile_ms(&totals.latencies_s, 99.0),
+            mean_app_time_s: totals.app_time_s / frames as f64,
             resilience: self.session.resilience_report(),
             diagnostics: self.session.diagnostics(),
             overlap: Some(overlap_report(
-                n,
+                frames,
                 &totals,
                 produce_busy_s,
                 consume_busy_s,
@@ -546,20 +505,49 @@ impl FrameSequencer {
                 .telemetry()
                 .map(|t| t.frame_telemetry())
                 .map(Box::new),
-        })
+        }
     }
 }
 
-/// Modeled per-phase totals over a burst, for the overlap estimate.
-#[derive(Debug, Default, Clone, Copy)]
-struct PhaseTotals {
+/// The construction checks [`FrameSequencer::on_device`] and
+/// [`FrameSequencer::on_session`] share: the camera must match the
+/// config's image size, and `0 < exposure ≤ frame period`.
+fn check_camera_and_exposure(
+    camera: &Camera,
+    config: &SimConfig,
+    exposure_s: f64,
+    frame_dt: f64,
+) -> Result<(), SimError> {
+    if (camera.width, camera.height) != (config.width, config.height) {
+        return Err(SimError::InvalidConfig(format!(
+            "camera {}x{} does not match config {}x{}",
+            camera.width, camera.height, config.width, config.height
+        )));
+    }
+    if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
+        return Err(SimError::InvalidConfig(format!(
+            "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
+        )));
+    }
+    Ok(())
+}
+
+/// Per-frame results summed over a burst: host latencies for the
+/// percentiles, modeled frame time for the mean, and modeled per-phase
+/// totals for the overlap estimate.
+#[derive(Debug, Default)]
+struct BurstTotals {
+    latencies_s: Vec<f64>,
+    app_time_s: f64,
     upload_s: f64,
     kernel_s: f64,
     serial_s: f64,
 }
 
-impl PhaseTotals {
+impl BurstTotals {
     fn absorb(&mut self, timing: &FrameTiming) {
+        self.latencies_s.push(timing.wall_time_s);
+        self.app_time_s += timing.app_time_s;
         self.upload_s += timing.star_upload_s;
         self.kernel_s += timing.kernel_s;
         self.serial_s += timing.serial_transfer_s;
@@ -570,7 +558,7 @@ impl PhaseTotals {
 /// modeled phase totals and measured stage-busy times.
 fn overlap_report(
     frames: usize,
-    totals: &PhaseTotals,
+    totals: &BurstTotals,
     produce_busy_s: f64,
     consume_busy_s: f64,
     elapsed_s: f64,
@@ -721,7 +709,8 @@ mod tests {
     }
 
     fn sequencer(omega: [f64; 3]) -> FrameSequencer {
-        FrameSequencer::new(
+        FrameSequencer::on_device(
+            VirtualGpu::gtx480(),
             synthetic_sky(30_000, 0.0, 6.0, 3),
             camera(),
             AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), omega),
@@ -876,7 +865,8 @@ mod tests {
         let sky = synthetic_sky(100, 0.0, 6.0, 1);
         let dynamics = AttitudeDynamics::new(Attitude::IDENTITY, [0.0; 3]);
         // Camera/config mismatch.
-        assert!(FrameSequencer::new(
+        assert!(FrameSequencer::on_device(
+            VirtualGpu::gtx480(),
             sky.clone(),
             camera(),
             dynamics,
@@ -886,7 +876,8 @@ mod tests {
         )
         .is_err());
         // Exposure longer than the frame period.
-        assert!(FrameSequencer::new(
+        assert!(FrameSequencer::on_device(
+            VirtualGpu::gtx480(),
             sky,
             camera(),
             dynamics,

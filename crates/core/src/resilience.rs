@@ -1,6 +1,6 @@
 //! Bounded retry, degradation ladder, and resilience accounting.
 //!
-//! The frame loop ([`crate::session::AdaptiveSession::render_into`] and
+//! The frame loop (every [`crate::session::AdaptiveSession`] render and
 //! [`crate::frames::FrameSequencer`]) recovers from transient GPU faults —
 //! worker panics, stuck-lane watchdog timeouts, allocation failures,
 //! transfer corruption — by retrying the frame under a [`RetryPolicy`].

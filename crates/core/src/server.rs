@@ -99,9 +99,9 @@ pub struct ServerConfig {
     /// Watchdog budget attached to every session's device (pairs with
     /// stalling fault plans). `None` leaves the device default.
     pub watchdog: Option<Duration>,
-    /// Retry policy for every session's render ladder; faults injected by
-    /// `fault_plan` retry/degrade through it exactly as in-process frame
-    /// loops do.
+    /// Retry policy for every session's texture bind and render ladder;
+    /// faults injected by `fault_plan` retry/degrade through it exactly as
+    /// in-process sessions do.
     pub retry: Option<crate::resilience::RetryPolicy>,
     /// Directory the flight recorder dumps post-mortems into. `None`
     /// counts dump triggers without writing files.
@@ -554,11 +554,16 @@ fn handle_open(
     if let Some(watchdog) = shared.config.watchdog {
         gpu = gpu.with_watchdog(watchdog);
     }
-    let (session, lut_cache_hit) =
-        match AdaptiveSession::on_cached_tenant(gpu, config, &shared.cache, &spec.tenant) {
-            Ok(pair) => pair,
-            Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
-        };
+    let mut builder =
+        AdaptiveSession::builder(gpu, config).lut_cache(&shared.cache, Some(&spec.tenant));
+    if let Some(policy) = shared.config.retry {
+        builder = builder.retry(policy);
+    }
+    let session = match builder.open() {
+        Ok(session) => session,
+        Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
+    };
+    let lut_cache_hit = session.lut_cache_hit();
     // The server's deterministic scene: spec.seed fixes the sky, the
     // camera spans a 10° FOV, and the platform drifts gently enough that
     // the smear PSF stays disengaged (a requirement of on_session).
@@ -582,10 +587,6 @@ fn handle_open(
     ) {
         Ok(seq) => seq,
         Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
-    };
-    let seq = match shared.config.retry {
-        Some(policy) => seq.with_retry_policy(policy),
-        None => seq,
     };
     let id = conn.next_id;
     conn.next_id += 1;

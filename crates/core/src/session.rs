@@ -11,6 +11,14 @@
 //! transfers + the (cheap) fetch kernel, which — as the `session`
 //! experiment shows — removes the inflection point entirely: a session-
 //! based adaptive simulator wins at *every* scale where a GPU wins at all.
+//!
+//! A session opens through one builder ([`AdaptiveSession::builder`];
+//! [`AdaptiveSession::on`] is the plain case) and renders through one frame
+//! path: [`AdaptiveSession::render`], [`AdaptiveSession::render_into`] and
+//! [`AdaptiveSession::render_prepared_into`] wrap the same retry loop and
+//! the same attempt. Every setup input (cache, tenant, retry policy,
+//! telemetry) and every frame fault is therefore handled the same way,
+//! whichever entry point a caller uses.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -91,9 +99,10 @@ struct TenantCounters {
 /// A large-scale simulator often runs many sessions over the same optics —
 /// sweeping star counts, re-opening sessions per camera, re-rendering with
 /// a different executor. The table depends only on the optics (σ, ROI,
-/// magnitude range, PSF, binning), so [`AdaptiveSession::on_cached`] can
-/// skip both the host-side build *and* the modeled build time on a hit;
-/// only the per-device texture upload/bind is re-paid.
+/// magnitude range, PSF, binning), so a session opened through the cache
+/// ([`SessionBuilder::lut_cache`]) skips both the host-side build *and* the
+/// modeled build time on a hit; only the per-device texture upload/bind is
+/// re-paid.
 ///
 /// The cache holds at most [`Self::capacity`] tables (default
 /// [`LutCache::DEFAULT_CAPACITY`]); inserting past the bound evicts the
@@ -238,26 +247,18 @@ impl LutCache {
     /// table was already resident).
     pub fn prefetch(&self, gpu: &VirtualGpu, config: &SimConfig) -> Result<bool, SimError> {
         config.validate()?;
-        let (_, hit) = self.get_or_build(gpu, config)?;
+        let (_, hit) = self.get_or_build_for(gpu, config, None)?;
         Ok(hit)
     }
 
     /// Returns the cached table for `config`, building (and caching) it on
     /// a miss. The boolean is `true` on a hit.
-    fn get_or_build(
-        &self,
-        gpu: &VirtualGpu,
-        config: &SimConfig,
-    ) -> Result<(Arc<LookupTable>, bool), SimError> {
-        self.get_or_build_for(gpu, config, None)
-    }
-
-    /// [`get_or_build`](Self::get_or_build) with tenant attribution: the
-    /// lookup is charged to `tenant`'s hit/miss counters, a built table is
-    /// owned by (and counts against the quota of) `tenant`, and quota
-    /// evictions displace the tenant's **own** LRU table before the global
-    /// LRU bound runs — so one tenant's churn never evicts another's
-    /// tables through the quota path.
+    ///
+    /// With a `tenant`, the lookup is charged to that tenant's hit/miss
+    /// counters, a built table is owned by (and counts against the quota
+    /// of) `tenant`, and quota evictions displace the tenant's **own** LRU
+    /// table before the global LRU bound runs — so one tenant's churn
+    /// never evicts another's tables through the quota path.
     pub fn get_or_build_for(
         &self,
         gpu: &VirtualGpu,
@@ -281,8 +282,7 @@ impl LutCache {
         // Build outside the lock: a miss takes milliseconds and other
         // sessions may be hitting concurrently. Racing builders produce
         // bit-identical tables, so last-writer-wins is harmless.
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(config)?);
+        let lut = build_lut(gpu, config)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(tenant) = tenant {
             self.tenant_counters(tenant, |c| c.misses += 1);
@@ -395,9 +395,13 @@ fn lut_build_time_s(lut: &LookupTable) -> f64 {
     lut.len() as f64 * LUT_BUILD_S_PER_ENTRY
 }
 
-/// Build cost of a cache hit: the table already exists.
-fn zero_build_time(_: &LookupTable) -> f64 {
-    0.0
+/// Builds `config`'s table fresh. The build launches on a throwaway device
+/// of `gpu`'s spec, so it never moves the fault coordinates (launch
+/// indices) of `gpu` itself.
+fn build_lut(gpu: &VirtualGpu, config: &SimConfig) -> Result<Arc<LookupTable>, SimError> {
+    // Reuse the simulator's builder so table parameters stay in sync.
+    let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
+    Ok(Arc::new(builder.build_lut(config)?))
 }
 
 /// Timings of one frame rendered through the zero-allocation path
@@ -452,6 +456,46 @@ impl PreparedStars {
     }
 }
 
+/// Where a frame attempt takes its stars from.
+#[derive(Clone, Copy)]
+enum FrameStars<'a> {
+    /// A catalog the attempt uploads itself (the sequential loop).
+    Catalog(&'a StarCatalog),
+    /// A buffer staged ahead of the launch by
+    /// [`AdaptiveSession::prepare_stars`] (the pipelined loop).
+    Prepared(&'a PreparedStars),
+}
+
+/// One successful frame attempt: the kernel profile, the three modeled
+/// transfer times, and the attempt's host wall-clock.
+struct FrameAttempt {
+    kernel: gpusim::KernelProfile,
+    t_stars: f64,
+    t_img_up: f64,
+    t_down: f64,
+    wall_time_s: f64,
+}
+
+impl FrameAttempt {
+    /// Star upload + image upload + download, seconds. Every entry point
+    /// adds this one sum to the kernel time, so they all report bit-equal
+    /// modeled times.
+    fn transfer_s(&self) -> f64 {
+        self.t_stars + self.t_img_up + self.t_down
+    }
+
+    fn timing(&self) -> FrameTiming {
+        FrameTiming {
+            app_time_s: self.kernel.time_s + self.transfer_s(),
+            wall_time_s: self.wall_time_s,
+            kernel_s: self.kernel.time_s,
+            star_upload_s: self.t_stars,
+            serial_transfer_s: self.t_img_up + self.t_down,
+            counters: self.kernel.counters,
+        }
+    }
+}
+
 /// A long-lived adaptive simulator with its lookup table resident in
 /// texture memory.
 pub struct AdaptiveSession {
@@ -459,6 +503,8 @@ pub struct AdaptiveSession {
     config: SimConfig,
     lut: Arc<LookupTable>,
     lut_tex: Texture,
+    /// Whether the table came from a [`LutCache`] hit at setup.
+    lut_cache_hit: bool,
     /// Persistent device image: each frame's download zeroes it in the
     /// same pass (`download_take`), so it is reused — never reallocated —
     /// across the session's lifetime.
@@ -468,8 +514,8 @@ pub struct AdaptiveSession {
     /// Atomic (not `Cell`) so the session is `Sync`: the pipelined frame
     /// loop shares one session between its producer and consumer stages.
     frames_rendered: AtomicU64,
-    /// When set, [`Self::render_into`] retries failed frames under this
-    /// policy, descending the degradation ladder one [`Rung`] per attempt.
+    /// When set, every render retries failed frames under this policy,
+    /// descending the degradation ladder one [`Rung`] per attempt.
     retry: Option<RetryPolicy>,
     /// Host-side resilience accounting (faults, retries, rungs).
     stats: Mutex<ResilienceReport>,
@@ -492,149 +538,91 @@ pub struct AdaptiveSession {
     analysis: Option<gpusim::KernelReport>,
 }
 
-impl AdaptiveSession {
-    /// Opens a session on the paper's GTX480: builds the lookup table and
-    /// binds it to texture memory once.
-    pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        Self::on(VirtualGpu::gtx480(), config)
-    }
+/// The one setup path of an [`AdaptiveSession`]
+/// ([`AdaptiveSession::builder`]).
+///
+/// Every input is optional, and [`Self::open`] handles any combination of
+/// them the same way: the lookup table comes from the cache when one is
+/// attached (free on a hit) or is built fresh; the texture bind is retried
+/// under the retry policy when one is set; setup spans and `lut_cache.*`
+/// metrics land in the telemetry sink when one is attached.
+#[must_use = "a session builder does nothing until `open` is called"]
+pub struct SessionBuilder<'a> {
+    gpu: VirtualGpu,
+    config: SimConfig,
+    cache: Option<(&'a LutCache, Option<&'a str>)>,
+    retry: Option<RetryPolicy>,
+    telemetry: Option<Arc<Telemetry>>,
+}
 
-    /// Opens a session on a caller-provided device.
-    pub fn on(gpu: VirtualGpu, config: SimConfig) -> Result<Self, SimError> {
-        config.validate()?;
-        // Reuse the simulator's builder so table parameters stay in sync.
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(&config)?);
-        Self::with_lut(gpu, config, lut, lut_build_time_s)
-    }
-
-    /// Opens a session reusing `cache` for the lookup table: on a cache hit
+impl<'a> SessionBuilder<'a> {
+    /// Takes the lookup table from `cache`, charged to `tenant`'s counters
+    /// and quota when given ([`LutCache::get_or_build_for`]). On a hit
     /// neither the host-side build nor the modeled build time is paid —
     /// setup shrinks to the texture upload + bind of *this* device.
-    pub fn on_cached(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        cache: &LutCache,
-    ) -> Result<Self, SimError> {
-        config.validate()?;
-        let (lut, hit) = cache.get_or_build(&gpu, &config)?;
-        let charge = if hit {
-            zero_build_time
-        } else {
-            lut_build_time_s
-        };
-        Self::with_lut(gpu, config, lut, charge)
+    pub fn lut_cache(mut self, cache: &'a LutCache, tenant: Option<&'a str>) -> Self {
+        self.cache = Some((cache, tenant));
+        self
     }
 
-    /// [`Self::on_cached`] with tenant attribution: the lookup is charged
-    /// to `tenant`'s cache counters and quota
-    /// ([`LutCache::get_or_build_for`]). Returns the session plus whether
-    /// the table came from cache, so servers can report per-session cache
-    /// behavior to the client.
-    pub fn on_cached_tenant(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        cache: &LutCache,
-        tenant: &str,
-    ) -> Result<(Self, bool), SimError> {
-        config.validate()?;
-        let (lut, hit) = cache.get_or_build_for(&gpu, &config, Some(tenant))?;
-        let charge = if hit {
-            zero_build_time
-        } else {
-            lut_build_time_s
-        };
-        Ok((Self::with_lut(gpu, config, lut, charge)?, hit))
+    /// Runs the session resiliently: the texture bind retries under
+    /// `policy`, and every frame runs under the bounded-retry degradation
+    /// ladder ([`AdaptiveSession::set_retry_policy`]).
+    pub fn retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = Some(policy);
+        self
     }
 
-    /// Opens a session with the resilient frame loop enabled: texture
-    /// binding retries under `policy`, and every [`Self::render_into`]
-    /// frame runs under the bounded-retry degradation ladder.
-    pub fn on_resilient(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        policy: RetryPolicy,
-    ) -> Result<Self, SimError> {
-        config.validate()?;
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(&config)?);
-        let mut session =
-            Self::with_lut_retry(gpu, config, lut, lut_build_time_s, Some(policy), None)?;
-        session.retry = Some(policy);
-        Ok(session)
-    }
-
-    /// Opens a fully observable session: spans for every setup and render
+    /// Makes the session observable: spans for every setup and render
     /// stage, cache and frame metrics, and device launch traces all land
-    /// in `telemetry`. With a `cache`, the lookup table goes through it
-    /// (recording `lut_cache.*` counters); without one it is built fresh.
-    pub fn on_telemetry(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        cache: Option<&LutCache>,
-        telemetry: Arc<Telemetry>,
-    ) -> Result<Self, SimError> {
+    /// in `telemetry`.
+    pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Validates the config, takes (or builds) the lookup table, binds it
+    /// to texture memory, allocates the persistent device image, applies
+    /// `config.workers`, and runs the pre-launch advisor when
+    /// [`SimConfig::analyze`] is set.
+    pub fn open(self) -> Result<AdaptiveSession, SimError> {
+        let SessionBuilder {
+            gpu,
+            config,
+            cache,
+            retry,
+            telemetry,
+        } = self;
         config.validate()?;
-        let setup_span = telemetry.span("session-setup");
-        let (lut, charge): (Arc<LookupTable>, fn(&LookupTable) -> f64) = {
-            let _build = telemetry.span("lut-build");
+        let _setup_span = maybe_span(telemetry.as_ref(), "session-setup");
+        let (lut, lut_cache_hit) = {
+            let _build_span = maybe_span(telemetry.as_ref(), "lut-build");
             match cache {
-                Some(cache) => {
-                    let (lut, hit) = cache.get_or_build(&gpu, &config)?;
-                    let stats = cache.stats();
-                    let metrics = telemetry.metrics();
-                    metrics.counter_add(
-                        if hit {
+                Some((cache, tenant)) => {
+                    let (lut, hit) = cache.get_or_build_for(&gpu, &config, tenant)?;
+                    if let Some(t) = &telemetry {
+                        let stats = cache.stats();
+                        let metrics = t.metrics();
+                        let counter = if hit {
                             "lut_cache.hits"
                         } else {
                             "lut_cache.misses"
-                        },
-                        1,
-                    );
-                    metrics.gauge_set("lut_cache.len", stats.len as f64);
-                    metrics.gauge_set("lut_cache.evictions", stats.evictions as f64);
-                    let charge: fn(&LookupTable) -> f64 = if hit {
-                        zero_build_time
-                    } else {
-                        lut_build_time_s
-                    };
-                    (lut, charge)
+                        };
+                        metrics.counter_add(counter, 1);
+                        metrics.gauge_set("lut_cache.len", stats.len as f64);
+                        metrics.gauge_set("lut_cache.evictions", stats.evictions as f64);
+                    }
+                    (lut, hit)
                 }
-                None => {
-                    let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-                    (Arc::new(builder.build_lut(&config)?), lut_build_time_s)
-                }
+                None => (build_lut(&gpu, &config)?, false),
             }
         };
-        let session = Self::with_lut_retry(gpu, config, lut, charge, None, Some(telemetry))?;
-        drop(setup_span);
-        Ok(session)
-    }
+        let build_time = if lut_cache_hit {
+            0.0
+        } else {
+            lut_build_time_s(&lut)
+        };
 
-    /// Shared constructor tail: binds `lut` on `gpu`, allocates the
-    /// persistent device image, applies `config.workers`, and charges
-    /// `build_charge(&lut)` seconds of setup on top of upload + bind.
-    fn with_lut(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        lut: Arc<LookupTable>,
-        build_charge: fn(&LookupTable) -> f64,
-    ) -> Result<Self, SimError> {
-        Self::with_lut_retry(gpu, config, lut, build_charge, None, None)
-    }
-
-    /// Constructor tail with an optional bind-retry policy: a transient
-    /// texture-bind failure is retried up to `retry.max_attempts` times
-    /// (each failure recorded in the session's resilience stats) before
-    /// surfacing as an error.
-    fn with_lut_retry(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        lut: Arc<LookupTable>,
-        build_charge: fn(&LookupTable) -> f64,
-        retry: Option<RetryPolicy>,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Result<Self, SimError> {
         let mut gpu = match config.workers {
             Some(w) => gpu.with_workers(w),
             None => gpu,
@@ -645,11 +633,12 @@ impl AdaptiveSession {
             gpu.set_telemetry(Some(t.gpu_sink()));
         }
         let _bind_span = maybe_span(telemetry.as_ref(), "texture-bind");
-        let build_time = build_charge(&lut);
         let side = config.roi_side;
         // Static pre-launch validation: the ROI must fit the image, or
         // every frame of this session would index out of bounds.
         gpusim::sanitize::validate_roi(side, config.width, config.height)?;
+        // A transient bind failure is retried up to `max_attempts` times,
+        // each failure recorded in the session's resilience stats.
         let mut stats = ResilienceReport::default();
         let max_attempts = retry.map_or(1, |p| p.max_attempts.max(1));
         let mut attempt = 1u32;
@@ -677,10 +666,11 @@ impl AdaptiveSession {
             config,
             lut,
             lut_tex,
+            lut_cache_hit,
             image_dev,
             setup_time_s: build_time + t_upload + t_bind,
             frames_rendered: AtomicU64::new(0),
-            retry: None,
+            retry,
             stats: Mutex::new(stats),
             telemetry,
             shed_floor: AtomicU8::new(Rung::Configured.index() as u8),
@@ -691,6 +681,26 @@ impl AdaptiveSession {
             session.run_advisor()?;
         }
         Ok(session)
+    }
+}
+
+impl AdaptiveSession {
+    /// Starts opening a session on `gpu`; see [`SessionBuilder`] for the
+    /// optional inputs.
+    pub fn builder<'a>(gpu: VirtualGpu, config: SimConfig) -> SessionBuilder<'a> {
+        SessionBuilder {
+            gpu,
+            config,
+            cache: None,
+            retry: None,
+            telemetry: None,
+        }
+    }
+
+    /// Opens a plain session on `gpu`: builds the lookup table and binds it
+    /// to texture memory once.
+    pub fn on(gpu: VirtualGpu, config: SimConfig) -> Result<Self, SimError> {
+        Self::builder(gpu, config).open()
     }
 
     /// Runs the pre-launch advisor once over this session's production
@@ -777,13 +787,6 @@ impl AdaptiveSession {
         self.gpu.advise_count()
     }
 
-    /// Enables the bounded-retry degradation ladder for
-    /// [`Self::render_into`] frames.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Sets (or clears) the frame retry policy in place.
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry = policy;
@@ -828,14 +831,8 @@ impl AdaptiveSession {
         report
     }
 
-    /// Attaches a telemetry sink after construction: subsequent renders
+    /// Attaches or detaches the telemetry sink in place: subsequent renders
     /// record spans/metrics and the device records launch traces.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.set_telemetry(Some(telemetry));
-        self
-    }
-
-    /// Attaches or detaches the telemetry sink in place.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
         self.gpu
             .set_telemetry(telemetry.as_ref().map(|t| t.gpu_sink()));
@@ -863,9 +860,17 @@ impl AdaptiveSession {
         &self.config
     }
 
-    /// One-time setup cost paid at [`Self::new`], seconds.
+    /// One-time setup cost paid at [`SessionBuilder::open`] (LUT build,
+    /// unless it was a cache hit, plus texture upload + bind), seconds.
     pub fn setup_time_s(&self) -> f64 {
         self.setup_time_s
+    }
+
+    /// Whether the lookup table came from a [`LutCache`] hit at setup
+    /// (`false` on a miss or without a cache) — servers report it to the
+    /// client per session.
+    pub fn lut_cache_hit(&self) -> bool {
+        self.lut_cache_hit
     }
 
     /// Frames rendered so far.
@@ -873,35 +878,13 @@ impl AdaptiveSession {
         self.frames_rendered.load(Ordering::Relaxed)
     }
 
-    /// Uploads the catalog and launches the fetch kernel against
-    /// `image_dev`; returns the kernel profile and the modeled transfer
-    /// time of the star upload + image upload (download not included).
+    /// Mode/rung selection and the kernel launch itself, against an
+    /// already-uploaded star buffer.
     ///
     /// `rung` selects the degradation level: [`Rung::ReferenceExec`] and
     /// below force the reference executor, and [`Rung::DirectPsf`] swaps
     /// the LUT fetch kernel for the direct-PSF star-centric kernel (the
     /// last-resort fallback — numerically close, not bit-identical).
-    fn launch_frame(
-        &self,
-        catalog: &StarCatalog,
-        image_dev: &gpusim::GlobalAtomicF32,
-        rung: Rung,
-    ) -> Result<(gpusim::KernelProfile, f64, f64), SimError> {
-        let upload_span = maybe_span(self.telemetry.as_ref(), "star-upload");
-        let (stars, t_stars) = self.gpu.try_upload(to_device_stars(catalog.stars()))?;
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
-        drop(upload_span);
-        let profile = self.launch_kernel(&stars, catalog.len(), image_dev, rung)?;
-        Ok((profile, t_stars, t_img_up))
-    }
-
-    /// The kernel half of [`Self::launch_frame`]: mode/rung selection and
-    /// the launch itself, against an already-uploaded star buffer. Shared
-    /// by the sequential path and the pipelined path (whose star buffer
-    /// was staged ahead of time by [`Self::prepare_stars`]).
     fn launch_kernel(
         &self,
         stars: &GlobalBuffer<DeviceStar>,
@@ -953,43 +936,33 @@ impl AdaptiveSession {
         Ok(profile)
     }
 
-    /// Renders one frame. Unlike [`AdaptiveSimulator::simulate`], the
-    /// profile carries **no** lookup-table build or texture-binding items —
-    /// they were paid at session setup.
+    /// Renders one frame. Unlike the one-shot [`AdaptiveSimulator`]
+    /// ([`Simulator::simulate`](crate::Simulator::simulate)), the profile
+    /// carries **no** lookup-table build or texture-binding items — they
+    /// were paid at session setup. Pixels and modeled times
+    /// are bit-identical to [`Self::render_into`], and the frame runs under
+    /// the same retry policy, shed floor and cancel token.
     pub fn render(&self, catalog: &StarCatalog) -> Result<SimulationReport, SimError> {
-        let _render_span = maybe_span(self.telemetry.as_ref(), "render");
         let wall_start = Instant::now();
-        let mut profile = AppProfile::new();
-        let config = &self.config;
-        let star_count = catalog.len();
-
-        let (kernel_profile, t_stars, t_img_up) =
-            self.launch_frame(catalog, &self.image_dev, Rung::Configured)?;
-        let t_up = t_stars + t_img_up;
-        profile.kernels.push(kernel_profile);
-
-        let download_span = maybe_span(self.telemetry.as_ref(), "download");
-        // Drain the persistent device image so the next frame starts from
-        // zero, exactly like a fresh allocation.
         let mut host_pixels = Vec::new();
-        let t_down = self
-            .gpu
-            .try_download_take(&self.image_dev, &mut host_pixels)?;
-        drop(download_span);
-        profile.push_overhead("CPU-GPU transmission", t_up + t_down);
-
-        self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-        self.note_frame_metrics(wall_start.elapsed().as_secs_f64());
-        let image = ImageF32::from_data(config.width, config.height, host_pixels);
+        let frame = self.render_frame(
+            FrameStars::Catalog(catalog),
+            &self.image_dev,
+            &mut host_pixels,
+        )?;
+        let transfer_s = frame.transfer_s();
+        let mut profile = AppProfile::new();
+        profile.kernels.push(frame.kernel);
+        profile.push_overhead("CPU-GPU transmission", transfer_s);
         let app_time_s = profile.app_time();
         Ok(SimulationReport {
             simulator: "adaptive-session",
-            image,
+            image: ImageF32::from_data(self.config.width, self.config.height, host_pixels),
             profile,
             app_time_s,
             wall_time_s: wall_start.elapsed().as_secs_f64(),
-            stars: star_count,
-            roi_side: config.roi_side,
+            stars: catalog.len(),
+            roi_side: self.config.roi_side,
         })
     }
 
@@ -999,8 +972,8 @@ impl AdaptiveSession {
     /// image is allocated once the loop is warm. Pixels and modeled times
     /// are bit-identical to [`Self::render`].
     ///
-    /// With a [`RetryPolicy`] installed ([`Self::with_retry_policy`] /
-    /// [`Self::on_resilient`]), a failed frame is retried under the
+    /// With a [`RetryPolicy`] installed ([`SessionBuilder::retry`] /
+    /// [`Self::set_retry_policy`]), a failed frame is retried under the
     /// degradation ladder: spawn dispatch (bit-identical to the configured
     /// path), then the reference executor, then the direct-PSF fallback
     /// kernel (both numerically equivalent, not bit-equal — see
@@ -1011,90 +984,8 @@ impl AdaptiveSession {
         catalog: &StarCatalog,
         host: &mut Vec<f32>,
     ) -> Result<FrameTiming, SimError> {
-        let _render_span = maybe_span(self.telemetry.as_ref(), "render");
-        let start = self.shed_floor();
-        let result = match self.retry {
-            None => self.render_attempt(catalog, host, start),
-            Some(policy) => {
-                let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-                run_with_retry_from(
-                    &policy,
-                    &mut stats,
-                    start,
-                    self.cancel_token.as_ref(),
-                    |rung| {
-                        if rung != start {
-                            // A failed attempt may have deposited partial
-                            // results into the persistent device image; the
-                            // retry must start from zero to stay bit-identical.
-                            self.image_dev.fill_zero();
-                        }
-                        self.render_attempt(catalog, host, rung)
-                    },
-                )
-            }
-        };
-        if let Ok(timing) = &result {
-            self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-            self.note_frame_metrics(timing.wall_time_s);
-        }
-        result
-    }
-
-    /// Per-frame metric rollup, recorded once per successful frame.
-    fn note_frame_metrics(&self, wall_s: f64) {
-        if let Some(t) = &self.telemetry {
-            let metrics = t.metrics();
-            metrics.counter_add("frames.rendered", 1);
-            metrics.observe("frame.wall_ms", wall_s * 1e3);
-            metrics.gauge_set("arena.pooled", self.gpu.arena_pooled() as f64);
-        }
-    }
-
-    /// One attempt of the zero-allocation frame path at `rung`.
-    fn render_attempt(
-        &self,
-        catalog: &StarCatalog,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let _attempt_span = maybe_span(self.telemetry.as_ref(), rung.span_name());
-        let spawn = rung >= Rung::SpawnDispatch;
-        if spawn {
-            // Sidestep the worker pool: spawn dispatch survives a poisoned
-            // or rebuilt pool and is bit-identical to pooled dispatch.
-            self.gpu.set_dispatch_override(true);
-        }
-        let result = self.render_attempt_inner(catalog, host, rung);
-        if spawn {
-            self.gpu.set_dispatch_override(false);
-        }
-        result
-    }
-
-    fn render_attempt_inner(
-        &self,
-        catalog: &StarCatalog,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let wall_start = Instant::now();
-        let (kernel_profile, t_stars, t_img_up) =
-            self.launch_frame(catalog, &self.image_dev, rung)?;
-        let t_up = t_stars + t_img_up;
-        let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let t_down = self.gpu.try_download_take(&self.image_dev, host)?;
-        Ok(FrameTiming {
-            // Same association as `AppProfile::app_time` (kernel time plus
-            // the one transmission overhead item) so the two render paths
-            // report bit-equal modeled times.
-            app_time_s: kernel_profile.time_s + (t_up + t_down),
-            wall_time_s: wall_start.elapsed().as_secs_f64(),
-            kernel_s: kernel_profile.time_s,
-            star_upload_s: t_stars,
-            serial_transfer_s: t_img_up + t_down,
-            counters: kernel_profile.counters,
-        })
+        let frame = self.render_frame(FrameStars::Catalog(catalog), &self.image_dev, host)?;
+        Ok(frame.timing())
     }
 
     /// A fresh zeroed device image sized for this session's frames.
@@ -1134,21 +1025,34 @@ impl AdaptiveSession {
     /// Pixels, counters, and modeled times are bit-identical to
     /// [`Self::render_into`] on the same catalog: the staged upload is the
     /// same bytes, the upload-fault consult happens here in launch order,
-    /// and the modeled-time summation replays the sequential association
-    /// exactly. With a [`RetryPolicy`] installed, failed attempts descend
-    /// the same degradation ladder; retries re-launch from the retained
-    /// staged buffer after zeroing `image_dev`, so recovery on rungs 0–1
-    /// is bit-identical just as in the sequential loop.
+    /// and the frame runs through the same attempt and retry ladder;
+    /// retries re-launch from the retained staged buffer after zeroing
+    /// `image_dev`, so recovery on rungs 0–1 is bit-identical just as in
+    /// the sequential loop.
     pub fn render_prepared_into(
         &self,
         prepared: &PreparedStars,
         image_dev: &gpusim::GlobalAtomicF32,
         host: &mut Vec<f32>,
     ) -> Result<FrameTiming, SimError> {
+        let frame = self.render_frame(FrameStars::Prepared(prepared), image_dev, host)?;
+        Ok(frame.timing())
+    }
+
+    /// The one frame path behind every render entry point: a single
+    /// attempt at the shed floor, or — with a [`RetryPolicy`] — the
+    /// bounded-retry degradation ladder starting there. Counts the frame
+    /// and records its metrics on success.
+    fn render_frame(
+        &self,
+        stars: FrameStars<'_>,
+        image_dev: &gpusim::GlobalAtomicF32,
+        host: &mut Vec<f32>,
+    ) -> Result<FrameAttempt, SimError> {
         let _render_span = maybe_span(self.telemetry.as_ref(), "render");
         let start = self.shed_floor();
         let result = match self.retry {
-            None => self.prepared_attempt(prepared, image_dev, host, start),
+            None => self.attempt(stars, image_dev, host, start),
             Some(policy) => {
                 let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
                 run_with_retry_from(
@@ -1159,75 +1063,87 @@ impl AdaptiveSession {
                     |rung| {
                         if rung != start {
                             // A failed attempt may have deposited partial
-                            // results into the rotating device image; the
-                            // retry must start from zero to stay bit-identical.
+                            // results into the device image; the retry
+                            // must start from zero to stay bit-identical.
                             image_dev.fill_zero();
                         }
-                        self.prepared_attempt(prepared, image_dev, host, rung)
+                        self.attempt(stars, image_dev, host, rung)
                     },
                 )
             }
         };
-        if let Ok(timing) = &result {
+        if let Ok(frame) = &result {
             self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-            self.note_frame_metrics(timing.wall_time_s);
+            self.note_frame_metrics(frame.wall_time_s);
         }
         result
     }
 
-    /// One attempt of the prepared-frame path at `rung` (same dispatch
-    /// override handling as [`Self::render_attempt`]).
-    fn prepared_attempt(
+    /// One attempt of a frame at `rung`: sets the dispatch override, takes
+    /// the stars, launches against `image_dev` and drains it into `host`.
+    fn attempt(
         &self,
-        prepared: &PreparedStars,
+        stars: FrameStars<'_>,
         image_dev: &gpusim::GlobalAtomicF32,
         host: &mut Vec<f32>,
         rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
+    ) -> Result<FrameAttempt, SimError> {
         let _attempt_span = maybe_span(self.telemetry.as_ref(), rung.span_name());
         let spawn = rung >= Rung::SpawnDispatch;
         if spawn {
+            // Sidestep the worker pool: spawn dispatch survives a poisoned
+            // or rebuilt pool and is bit-identical to pooled dispatch.
             self.gpu.set_dispatch_override(true);
         }
-        let result = self.prepared_attempt_inner(prepared, image_dev, host, rung);
+        let result = (|| -> Result<FrameAttempt, SimError> {
+            let wall_start = Instant::now();
+            let uploaded;
+            let (buffer, star_count, t_stars) = match stars {
+                FrameStars::Catalog(catalog) => {
+                    let _upload_span = maybe_span(self.telemetry.as_ref(), "star-upload");
+                    let (buffer, t_stars) =
+                        self.gpu.try_upload(to_device_stars(catalog.stars()))?;
+                    uploaded = buffer;
+                    (&uploaded, catalog.len(), t_stars)
+                }
+                FrameStars::Prepared(prepared) => {
+                    // The upload-fault consult the producer deliberately
+                    // skipped: an `AllocOom` spec bound to this launch
+                    // surfaces here, in launch order, exactly as
+                    // `try_upload` would have in the sequential loop.
+                    self.gpu.take_upload_fault(prepared.star_bytes)?;
+                    (&prepared.stars, prepared.star_count, prepared.t_stars)
+                }
+            };
+            let t_img_up = self
+                .gpu
+                .transfer_model()
+                .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
+            let kernel = self.launch_kernel(buffer, star_count, image_dev, rung)?;
+            let _download_span = maybe_span(self.telemetry.as_ref(), "download");
+            let t_down = self.gpu.try_download_take(image_dev, host)?;
+            Ok(FrameAttempt {
+                kernel,
+                t_stars,
+                t_img_up,
+                t_down,
+                wall_time_s: wall_start.elapsed().as_secs_f64(),
+            })
+        })();
         if spawn {
             self.gpu.set_dispatch_override(false);
         }
         result
     }
 
-    fn prepared_attempt_inner(
-        &self,
-        prepared: &PreparedStars,
-        image_dev: &gpusim::GlobalAtomicF32,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let wall_start = Instant::now();
-        // The upload-fault consult the producer deliberately skipped: an
-        // `AllocOom` spec bound to this launch surfaces here, in launch
-        // order, exactly as `try_upload` would have in the sequential loop.
-        self.gpu.take_upload_fault(prepared.star_bytes)?;
-        let t_stars = prepared.t_stars;
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
-        let kernel_profile =
-            self.launch_kernel(&prepared.stars, prepared.star_count, image_dev, rung)?;
-        let t_up = t_stars + t_img_up;
-        let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let t_down = self.gpu.try_download_take(image_dev, host)?;
-        Ok(FrameTiming {
-            // Identical float association to `render_attempt_inner`, so
-            // pipelined and sequential modeled times are bit-equal.
-            app_time_s: kernel_profile.time_s + (t_up + t_down),
-            wall_time_s: wall_start.elapsed().as_secs_f64(),
-            kernel_s: kernel_profile.time_s,
-            star_upload_s: t_stars,
-            serial_transfer_s: t_img_up + t_down,
-            counters: kernel_profile.counters,
-        })
+    /// Per-frame metric rollup, recorded once per successful frame.
+    fn note_frame_metrics(&self, wall_s: f64) {
+        if let Some(t) = &self.telemetry {
+            let metrics = t.metrics();
+            metrics.counter_add("frames.rendered", 1);
+            metrics.observe("frame.wall_ms", wall_s * 1e3);
+            metrics.gauge_set("arena.pooled", self.gpu.arena_pooled() as f64);
+        }
     }
 
     /// Amortized per-frame cost after `frames` renders of `per_frame_s`
@@ -1250,10 +1166,17 @@ mod tests {
         SimConfig::new(128, 128, 10)
     }
 
+    /// A session on a fresh GTX480 whose table goes through `cache`.
+    fn cached(config: SimConfig, cache: &LutCache) -> Result<AdaptiveSession, SimError> {
+        AdaptiveSession::builder(VirtualGpu::gtx480(), config)
+            .lut_cache(cache, None)
+            .open()
+    }
+
     #[test]
     fn session_renders_the_same_image_as_the_one_shot_simulator() {
         let cat = FieldGenerator::new(128, 128).generate(300, 3);
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let one_shot = AdaptiveSimulator::new().simulate(&cat, &cfg()).unwrap();
         let frame = session.render(&cat).unwrap();
         assert!(images_close(&one_shot.image, &frame.image, 1e-6, 1e-6));
@@ -1263,7 +1186,7 @@ mod tests {
     #[test]
     fn per_frame_cost_drops_by_the_setup_items() {
         let cat = FieldGenerator::new(128, 128).generate(300, 3);
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let one_shot = AdaptiveSimulator::new().simulate(&cat, &cfg()).unwrap();
         let frame = session.render(&cat).unwrap();
         let setup_items = one_shot.profile.overhead_named("lookup table build")
@@ -1288,7 +1211,7 @@ mod tests {
         // The headline: with setup amortized away, adaptive wins even where
         // the one-shot selection table says Parallel.
         let cat = FieldGenerator::new(128, 128).generate(512, 7); // tiny field
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let frame = session.render(&cat).unwrap();
         let par = ParallelSimulator::new().simulate(&cat, &cfg()).unwrap();
         assert!(
@@ -1302,7 +1225,7 @@ mod tests {
     #[test]
     fn frames_counter_and_amortization() {
         let cat = FieldGenerator::new(128, 128).generate(50, 1);
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         assert_eq!(session.frames_rendered(), 0);
         let frame = session.render(&cat).unwrap();
         let _ = session.render(&cat).unwrap();
@@ -1318,10 +1241,10 @@ mod tests {
     #[test]
     fn lut_cache_hits_share_one_table_and_skip_build_time() {
         let cache = LutCache::new();
-        let cold = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
+        let cold = cached(cfg(), &cache).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
 
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
+        let warm = cached(cfg(), &cache).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
         // The warm session skips the modeled build: exactly the build time
         // cheaper (upload + bind are identical on identical devices).
@@ -1333,7 +1256,7 @@ mod tests {
         // A different optics key builds its own table.
         let mut other = cfg();
         other.sigma = 3.0;
-        let _ = AdaptiveSession::on_cached(VirtualGpu::gtx480(), other, &cache).unwrap();
+        let _ = cached(other, &cache).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
     }
 
@@ -1341,11 +1264,11 @@ mod tests {
     fn cached_session_renders_identically_to_uncached() {
         let cat = FieldGenerator::new(128, 128).generate(200, 9);
         let cache = LutCache::new();
-        let plain = AdaptiveSession::new(cfg()).unwrap();
-        let cached = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
+        let plain = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
+        let cold = cached(cfg(), &cache).unwrap();
+        let warm = cached(cfg(), &cache).unwrap();
         let a = plain.render(&cat).unwrap();
-        let b = cached.render(&cat).unwrap();
+        let b = cold.render(&cat).unwrap();
         let c = warm.render(&cat).unwrap();
         let bits = |r: &SimulationReport| -> Vec<u32> {
             r.image.data().iter().map(|v| v.to_bits()).collect()
@@ -1359,8 +1282,8 @@ mod tests {
     #[test]
     fn render_into_matches_render_bitwise() {
         let cat = FieldGenerator::new(128, 128).generate(250, 11);
-        let by_report = AdaptiveSession::new(cfg()).unwrap();
-        let by_buffer = AdaptiveSession::new(cfg()).unwrap();
+        let by_report = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
+        let by_buffer = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let report = by_report.render(&cat).unwrap();
         let mut host = Vec::new();
         let mut timing = by_buffer.render_into(&cat, &mut host).unwrap();
@@ -1388,8 +1311,8 @@ mod tests {
     #[test]
     fn prepared_path_matches_render_into_bitwise() {
         let cat = FieldGenerator::new(128, 128).generate(250, 11);
-        let sequential = AdaptiveSession::new(cfg()).unwrap();
-        let pipelined = AdaptiveSession::new(cfg()).unwrap();
+        let sequential = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
+        let pipelined = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let mut expected = Vec::new();
         let expected_t = sequential.render_into(&cat, &mut expected).unwrap();
 
@@ -1415,7 +1338,7 @@ mod tests {
     #[test]
     fn frame_timing_phases_sum_to_the_app_time() {
         let cat = FieldGenerator::new(128, 128).generate(250, 11);
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let mut host = Vec::new();
         let t = session.render_into(&cat, &mut host).unwrap();
         let sum = t.kernel_s + t.star_upload_s + t.serial_transfer_s;
@@ -1432,7 +1355,7 @@ mod tests {
         let hit = cache.prefetch(&gpu, &cfg()).unwrap();
         assert!(hit, "second prefetch hits");
         // A session over the same optics now skips the build entirely.
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
+        let warm = cached(cfg(), &cache).unwrap();
         assert_eq!(cache.hits(), 2);
         assert!(warm.setup_time_s() > 0.0);
     }
@@ -1442,8 +1365,14 @@ mod tests {
         let cat = FieldGenerator::new(128, 128).generate(250, 4);
         let mut limited = cfg();
         limited.workers = Some(2);
-        let a = AdaptiveSession::new(cfg()).unwrap().render(&cat).unwrap();
-        let b = AdaptiveSession::new(limited).unwrap().render(&cat).unwrap();
+        let a = AdaptiveSession::on(VirtualGpu::gtx480(), cfg())
+            .unwrap()
+            .render(&cat)
+            .unwrap();
+        let b = AdaptiveSession::on(VirtualGpu::gtx480(), limited)
+            .unwrap()
+            .render(&cat)
+            .unwrap();
         // Worker count is functional parallelism only: counters and modeled
         // times are invariant; pixels match to merge-order rounding.
         assert_eq!(a.app_time_s, b.app_time_s);
@@ -1459,19 +1388,18 @@ mod tests {
         let mut sigma4 = cfg();
         sigma4.sigma = 4.0;
 
-        let gpu = VirtualGpu::gtx480;
         // Fill: [base, sigma3], then touch base so sigma3 becomes LRU.
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
-        let _ = AdaptiveSession::on_cached(gpu(), sigma3.clone(), &cache).unwrap();
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
+        let _ = cached(cfg(), &cache).unwrap();
+        let _ = cached(sigma3.clone(), &cache).unwrap();
+        let _ = cached(cfg(), &cache).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
 
         // Inserting sigma4 must evict sigma3 (LRU), not base (recently used).
-        let _ = AdaptiveSession::on_cached(gpu(), sigma4, &cache).unwrap();
+        let _ = cached(sigma4, &cache).unwrap();
         assert_eq!(cache.len(), 2, "capacity bound holds");
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
+        let _ = cached(cfg(), &cache).unwrap();
         assert_eq!(cache.hits(), 2, "base survived the eviction");
-        let _ = AdaptiveSession::on_cached(gpu(), sigma3, &cache).unwrap();
+        let _ = cached(sigma3, &cache).unwrap();
         assert_eq!(cache.misses(), 4, "sigma3 was evicted and rebuilt");
     }
 
@@ -1549,14 +1477,19 @@ mod tests {
     }
 
     #[test]
-    fn on_cached_tenant_reports_the_hit_and_renders_identically() {
+    fn builder_with_a_tenant_cache_reports_the_hit_and_renders_identically() {
         let cat = FieldGenerator::new(128, 128).generate(200, 9);
         let cache = LutCache::new().with_tenant_quota(2);
-        let plain = AdaptiveSession::new(cfg()).unwrap();
-        let (cold, cold_hit) =
-            AdaptiveSession::on_cached_tenant(VirtualGpu::gtx480(), cfg(), &cache, "a").unwrap();
-        let (warm, warm_hit) =
-            AdaptiveSession::on_cached_tenant(VirtualGpu::gtx480(), cfg(), &cache, "b").unwrap();
+        let plain = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
+        let tenant_session = |tenant| {
+            AdaptiveSession::builder(VirtualGpu::gtx480(), cfg())
+                .lut_cache(&cache, Some(tenant))
+                .open()
+                .unwrap()
+        };
+        let cold = tenant_session("a");
+        let warm = tenant_session("b");
+        let (cold_hit, warm_hit) = (cold.lut_cache_hit(), warm.lut_cache_hit());
         assert!(!cold_hit && warm_hit);
         let a = plain.render(&cat).unwrap();
         let b = cold.render(&cat).unwrap();
@@ -1568,7 +1501,7 @@ mod tests {
     #[test]
     fn shed_floor_switches_the_kernel_and_restores() {
         let cat = FieldGenerator::new(128, 128).generate(200, 5);
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let mut adaptive = Vec::new();
         session.render_into(&cat, &mut adaptive).unwrap();
 
@@ -1582,6 +1515,15 @@ mod tests {
         let direct = ParallelSimulator::new().simulate(&cat, &cfg()).unwrap();
         let shed_img = ImageF32::from_data(128, 128, shed);
         assert!(images_close(&direct.image, &shed_img, 1e-5, 1e-5));
+
+        // `render` honours the floor too: it launches the star-centric
+        // fallback, whose pixels match the direct-PSF reference.
+        let shed_report = session.render(&cat).unwrap();
+        assert_eq!(
+            shed_report.profile.kernels[0].name, "star-centric-fallback",
+            "render must launch the shed floor's kernel, like render_into"
+        );
+        assert!(images_close(&direct.image, &shed_report.image, 1e-5, 1e-5));
 
         // Restoring the floor restores bit-identical adaptive output.
         session.set_shed_floor(Rung::Configured);
@@ -1598,19 +1540,19 @@ mod tests {
         let cache = LutCache::new();
         let mut bad = cfg();
         bad.lut_mag_bins = usize::MAX / 1024; // blows the texture budget
-        assert!(AdaptiveSession::on_cached(VirtualGpu::gtx480(), bad, &cache).is_err());
+        assert!(cached(bad, &cache).is_err());
         assert!(cache.is_empty());
     }
 
     #[test]
     fn session_rejects_invalid_config() {
-        assert!(AdaptiveSession::new(SimConfig::new(0, 10, 10)).is_err());
+        assert!(AdaptiveSession::on(VirtualGpu::gtx480(), SimConfig::new(0, 10, 10)).is_err());
     }
 
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn amortization_needs_frames() {
-        let session = AdaptiveSession::new(cfg()).unwrap();
+        let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
         let _ = session.amortized_frame_cost(0.001, 0);
     }
 
@@ -1630,7 +1572,7 @@ mod tests {
         #[test]
         fn retried_frame_is_bit_identical_after_a_worker_panic() {
             let cat = FieldGenerator::new(128, 128).generate(200, 5);
-            let clean = AdaptiveSession::new(cfg()).unwrap();
+            let clean = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
             let mut expected = Vec::new();
             clean.render_into(&cat, &mut expected).unwrap();
 
@@ -1639,9 +1581,10 @@ mod tests {
                 0,
                 3,
             )));
-            let session = AdaptiveSession::on(gpu, cfg())
-                .unwrap()
-                .with_retry_policy(fast_retry());
+            let session = AdaptiveSession::builder(gpu, cfg())
+                .retry(fast_retry())
+                .open()
+                .unwrap();
             let mut host = Vec::new();
             session.render_into(&cat, &mut host).unwrap();
             assert_eq!(
@@ -1676,13 +1619,16 @@ mod tests {
         }
 
         #[test]
-        fn on_resilient_retries_the_texture_bind() {
+        fn builder_retry_retries_the_texture_bind() {
             let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(FaultPlan::single(
                 FaultKind::TextureBindFail,
                 0,
                 0,
             )));
-            let session = AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).unwrap();
+            let session = AdaptiveSession::builder(gpu, cfg())
+                .retry(fast_retry())
+                .open()
+                .unwrap();
             let report = session.resilience_report();
             assert_eq!(report.bind_failures, 1);
             assert_eq!(report.retries, 1);
@@ -1705,9 +1651,10 @@ mod tests {
                     .collect(),
             );
             let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(plan));
-            let session = AdaptiveSession::on(gpu, cfg())
-                .unwrap()
-                .with_retry_policy(fast_retry());
+            let session = AdaptiveSession::builder(gpu, cfg())
+                .retry(fast_retry())
+                .open()
+                .unwrap();
             let cat = FieldGenerator::new(128, 128).generate(50, 2);
             let mut host = Vec::new();
             let err = session.render_into(&cat, &mut host).unwrap_err();

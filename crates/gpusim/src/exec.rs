@@ -415,7 +415,8 @@ impl VirtualGpu {
 
     /// Attaches a utilization accumulator: every subsequent launch folds
     /// its modeled profile (occupancy, cycle breakdown, cache/memory
-    /// counters) into the shared [`DeviceUtilization`] aggregate. All
+    /// counters) into the shared
+    /// [`DeviceUtilization`](crate::DeviceUtilization) aggregate. All
     /// inputs are modeled, so the aggregate is bit-identical across host
     /// worker counts for the same workload.
     pub fn with_utilization(mut self, sink: Arc<UtilizationSink>) -> Self {

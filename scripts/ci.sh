@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full offline CI gate: format, lint, build, test, Miri smoke, bench smokes.
+# Full offline CI gate: format, lint, doc links, build, test, Miri smoke,
+# bench smokes.
 #
 # Artefact convention: every BENCH_PR*.json (PR1 executor speedup, PR3
 # chaos overhead + recovery, PR4 telemetry overhead + trace validation,
@@ -21,6 +22,11 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc link gate: a doc link to a renamed or deleted item (or an
+# ambiguous one) fails here instead of rendering as plain text.
+echo "== cargo doc --workspace --no-deps (broken intra-doc links denied)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
 
 # --workspace: the bench smokes below run target/release/starsim-bench,
 # which a root-package build does not produce.

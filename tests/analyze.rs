@@ -169,7 +169,8 @@ fn session_advisor_runs_once_and_frames_are_unchanged() {
 
     let mut plain_cfg = config(160, 160, 10);
     plain_cfg.workers = Some(2);
-    let plain = AdaptiveSession::new(plain_cfg.clone()).expect("plain session");
+    let plain =
+        AdaptiveSession::on(VirtualGpu::gtx480(), plain_cfg.clone()).expect("plain session");
     assert_eq!(plain.advise_runs(), 0, "advisor is opt-in");
     assert!(plain.analysis().is_none());
     let mut want = Vec::new();
@@ -177,7 +178,7 @@ fn session_advisor_runs_once_and_frames_are_unchanged() {
 
     let mut cfg = plain_cfg;
     cfg.analyze = true;
-    let session = AdaptiveSession::new(cfg).expect("analyzing session");
+    let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg).expect("analyzing session");
     assert_eq!(session.advise_runs(), 1, "advisor ran at setup");
     let report = session.analysis().expect("report retained");
     assert!(!report.has_deny());

@@ -52,6 +52,27 @@ fn session_frames(session: &AdaptiveSession) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Renders `FRAMES` frames through the report path (`render`).
+fn report_frames(session: &AdaptiveSession) -> Vec<Vec<u32>> {
+    (0..FRAMES)
+        .map(|i| {
+            let report = session
+                .render(&catalog(i as u64))
+                .unwrap_or_else(|e| panic!("frame {i} failed: {e}"));
+            bits(report.image.data())
+        })
+        .collect()
+}
+
+/// A resilient session on `gpu`: texture bind and frames retry under
+/// [`fast_retry`].
+fn resilient(gpu: VirtualGpu, config: SimConfig) -> AdaptiveSession {
+    AdaptiveSession::builder(gpu, config)
+        .retry(fast_retry())
+        .open()
+        .expect("resilient session")
+}
+
 /// A faulted device: one `kind` fault at launch 1 (the second frame),
 /// watchdog armed, short stall.
 fn chaos_gpu(kind: FaultKind) -> (Arc<FaultPlan>, VirtualGpu) {
@@ -67,53 +88,69 @@ fn chaos_matrix_adaptive_session_recovers_bit_identically() {
     let clean = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).expect("clean session");
     let expected = session_frames(&clean);
 
+    // Both frame entry points run the same retry ladder: every fault kind
+    // recovers identically through `render_into` and through `render`.
+    type FramePath = fn(&AdaptiveSession) -> Vec<Vec<u32>>;
+    let paths: [(&str, FramePath); 2] =
+        [("render_into", session_frames), ("render", report_frames)];
     for kind in FaultKind::ALL {
-        let (plan, gpu) = chaos_gpu(kind);
-        let session =
-            AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).expect("resilient session");
-        let got = session_frames(&session);
-        assert_eq!(
-            expected, got,
-            "{kind:?}: recovered frames must be bit-identical to the fault-free run"
-        );
-        assert_eq!(plan.remaining(), 0, "{kind:?}: the fault must have fired");
+        for (path, frames) in paths {
+            let (plan, gpu) = chaos_gpu(kind);
+            let session = resilient(gpu, cfg());
+            let got = frames(&session);
+            assert_eq!(
+                expected, got,
+                "{kind:?} via {path}: recovered frames must be bit-identical to the fault-free run"
+            );
+            assert_eq!(
+                plan.remaining(),
+                0,
+                "{kind:?} via {path}: the fault must have fired"
+            );
 
-        let r = session.resilience_report();
-        assert_eq!(r.frames, FRAMES as u64, "{kind:?}");
-        assert_eq!(r.exhausted, 0, "{kind:?}");
-        match kind {
-            FaultKind::WorkerPanic => {
-                assert_eq!((r.retries, r.panics), (1, 1), "{kind:?}");
-                assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?}");
-            }
-            FaultKind::StuckLane => {
-                assert_eq!((r.retries, r.timeouts), (1, 1), "{kind:?}");
-                assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?}");
-                assert_eq!(r.pool_rebuilds, 1, "{kind:?}: pool rebuilt after poison");
-            }
-            FaultKind::AllocOom => {
-                assert_eq!((r.retries, r.oom), (1, 1), "{kind:?}");
-                assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?}");
-            }
-            FaultKind::TransferCorrupt => {
-                assert_eq!((r.retries, r.corruptions), (1, 1), "{kind:?}");
-                assert_eq!(
-                    r.checksum_catches, 1,
-                    "{kind:?}: checksum must catch the flip"
-                );
-                assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?}");
-            }
-            FaultKind::TextureBindFail => {
-                // Fired (and retried) at session setup, not during a frame.
-                assert_eq!((r.retries, r.bind_failures), (1, 1), "{kind:?}");
-                assert_eq!(r.rung_frames, [3, 0, 0, 0], "{kind:?}");
-            }
-            FaultKind::ShadowCorrupt => {
-                // Corruption lands post-drain: the frame completes, the
-                // arena quarantines the buffer, nothing is retried.
-                assert_eq!(r.retries, 0, "{kind:?}");
-                assert_eq!(r.rung_frames, [3, 0, 0, 0], "{kind:?}");
-                assert!(r.arena_drops >= 1, "{kind:?}: arena must drop the buffer");
+            let r = session.resilience_report();
+            assert_eq!(r.frames, FRAMES as u64, "{kind:?} via {path}");
+            assert_eq!(r.exhausted, 0, "{kind:?} via {path}");
+            match kind {
+                FaultKind::WorkerPanic => {
+                    assert_eq!((r.retries, r.panics), (1, 1), "{kind:?} via {path}");
+                    assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?} via {path}");
+                }
+                FaultKind::StuckLane => {
+                    assert_eq!((r.retries, r.timeouts), (1, 1), "{kind:?} via {path}");
+                    assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?} via {path}");
+                    assert_eq!(
+                        r.pool_rebuilds, 1,
+                        "{kind:?} via {path}: pool rebuilt after poison"
+                    );
+                }
+                FaultKind::AllocOom => {
+                    assert_eq!((r.retries, r.oom), (1, 1), "{kind:?} via {path}");
+                    assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?} via {path}");
+                }
+                FaultKind::TransferCorrupt => {
+                    assert_eq!((r.retries, r.corruptions), (1, 1), "{kind:?} via {path}");
+                    assert_eq!(
+                        r.checksum_catches, 1,
+                        "{kind:?} via {path}: checksum must catch the flip"
+                    );
+                    assert_eq!(r.rung_frames, [2, 1, 0, 0], "{kind:?} via {path}");
+                }
+                FaultKind::TextureBindFail => {
+                    // Fired (and retried) at session setup, not during a frame.
+                    assert_eq!((r.retries, r.bind_failures), (1, 1), "{kind:?} via {path}");
+                    assert_eq!(r.rung_frames, [3, 0, 0, 0], "{kind:?} via {path}");
+                }
+                FaultKind::ShadowCorrupt => {
+                    // Corruption lands post-drain: the frame completes, the
+                    // arena quarantines the buffer, nothing is retried.
+                    assert_eq!(r.retries, 0, "{kind:?} via {path}");
+                    assert_eq!(r.rung_frames, [3, 0, 0, 0], "{kind:?} via {path}");
+                    assert!(
+                        r.arena_drops >= 1,
+                        "{kind:?} via {path}: arena must drop the buffer"
+                    );
+                }
             }
         }
     }
@@ -134,8 +171,7 @@ fn chaos_matrix_simd_backend_recovers_bit_identically() {
 
     for kind in FaultKind::ALL {
         let (plan, gpu) = chaos_gpu(kind);
-        let session = AdaptiveSession::on_resilient(gpu, simd_cfg.clone(), fast_retry())
-            .expect("resilient simd session");
+        let session = resilient(gpu, simd_cfg.clone());
         let got = session_frames(&session);
         assert_eq!(
             expected, got,
@@ -232,7 +268,7 @@ fn seeded_fault_plan_completes_all_frames_bit_identically() {
     let gpu = VirtualGpu::gtx480()
         .with_fault_plan(Arc::clone(&plan))
         .with_watchdog(Duration::from_millis(30));
-    let session = AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).unwrap();
+    let session = resilient(gpu, cfg());
     let mut host = Vec::new();
     for (i, want) in expected.iter().enumerate() {
         session

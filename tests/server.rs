@@ -501,11 +501,8 @@ fn chaos_matrix_recovers_bit_identically_through_the_server_with_concurrent_tena
     clean.shutdown();
 
     for kind in FaultKind::ALL {
-        if kind == FaultKind::TextureBindFail {
-            // Fires at session setup (the one texture bind), not
-            // mid-pipeline — the resilient-open path owns that case.
-            continue;
-        }
+        // `TextureBindFail` fires at session open (the one texture bind):
+        // the server opens under its retry policy, so it recovers there.
         let plan = Arc::new(FaultPlan::single(kind, 1, 2).with_stall(Duration::from_millis(150)));
         let config = ServerConfig {
             fault_plan: Some(Arc::clone(&plan)),

@@ -23,13 +23,11 @@ fn cfg() -> SimConfig {
 fn traced_run(frames: usize, seed: u64) -> Arc<Telemetry> {
     let telemetry = Telemetry::new();
     let cache = LutCache::new();
-    let session = AdaptiveSession::on_telemetry(
-        VirtualGpu::gtx480(),
-        cfg(),
-        Some(&cache),
-        Arc::clone(&telemetry),
-    )
-    .expect("session");
+    let session = AdaptiveSession::builder(VirtualGpu::gtx480(), cfg())
+        .lut_cache(&cache, None)
+        .telemetry(Arc::clone(&telemetry))
+        .open()
+        .expect("session");
     let cat = FieldGenerator::new(128, 128).generate(150, seed);
     let mut host = Vec::new();
     for _ in 0..frames {
@@ -68,12 +66,14 @@ fn same_seed_runs_produce_the_same_span_tree() {
 fn session_surfaces_cache_stats_and_diagnostics() {
     let cache = LutCache::new();
     let t = Telemetry::new();
-    let cold =
-        AdaptiveSession::on_telemetry(VirtualGpu::gtx480(), cfg(), Some(&cache), Arc::clone(&t))
-            .expect("cold");
-    let _warm =
-        AdaptiveSession::on_telemetry(VirtualGpu::gtx480(), cfg(), Some(&cache), Arc::clone(&t))
-            .expect("warm");
+    let open = || {
+        AdaptiveSession::builder(VirtualGpu::gtx480(), cfg())
+            .lut_cache(&cache, None)
+            .telemetry(Arc::clone(&t))
+            .open()
+    };
+    let cold = open().expect("cold");
+    let _warm = open().expect("warm");
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
     assert_eq!((stats.len, stats.capacity), (1, LutCache::DEFAULT_CAPACITY));
