@@ -17,7 +17,7 @@
 //! are assigned to host threads, never the arithmetic or the per-role
 //! reduction, so a retried frame matches the fault-free run at the same
 //! worker count exactly. Rung 2 keeps the kernel math but deposits blocks
-//! sequentially instead of through the per-role shadow merge; the
+//! sequentially instead of through the per-role deposit merge; the
 //! different f32 accumulation order can flip low-order mantissa bits on
 //! pixels covered by several blocks. Rung 3 additionally swaps the
 //! intensity model (direct PSF evaluation instead of the lookup table).
@@ -269,7 +269,7 @@ pub struct ResilienceReport {
     pub pool_rebuilds: u64,
     /// Per-chunk checksum mismatches detected on download.
     pub checksum_catches: u64,
-    /// Corrupted shadow buffers dropped (not recycled) by the arena.
+    /// Corrupted deposit buffers dropped (not recycled) by the arena.
     pub arena_drops: u64,
     /// Frames completed at each ladder rung (index = [`Rung::index`]).
     pub rung_frames: [u64; 4],

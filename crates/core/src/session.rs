@@ -968,7 +968,7 @@ impl AdaptiveSession {
 
     /// Renders one frame into a caller-owned pixel buffer — the
     /// zero-allocation frame path. `host` is resized on first use and
-    /// reused verbatim afterwards; no device image, shadow buffer, or host
+    /// reused verbatim afterwards; no device image, deposit buffer, or host
     /// image is allocated once the loop is warm. Pixels and modeled times
     /// are bit-identical to [`Self::render`].
     ///

@@ -19,7 +19,9 @@ use crate::device::DeviceSpec;
 use crate::dim::Dim3;
 use crate::error::GpuError;
 use crate::fault::{ArmedFaults, FaultKind, FaultPlan};
-use crate::kernel::{BlockCtx, BufferArena, Event, Kernel, RoleRuns, ShadowSet, ThreadCtx};
+use crate::kernel::{
+    merge_band_pooled, BlockCtx, BufferArena, Event, Kernel, RoleDeposits, ShadowSet, ThreadCtx,
+};
 use crate::launch::LaunchConfig;
 use crate::memory::cache::CacheSim;
 use crate::memory::global::{chunk_checksums_host, AddressSpace, GlobalAtomicF32, GlobalBuffer};
@@ -39,7 +41,7 @@ use crate::timing::{kernel_time, occupancy, CostModel};
 use crate::warp::analyze_warp;
 
 /// Host wall-clock stamps the executors record for one launch (dispatch
-/// window, and for the batched path the shadow-merge window). `Cell`s:
+/// window, and for the batched path the deposit-merge window). `Cell`s:
 /// only the launching thread writes them.
 #[derive(Default)]
 struct LaunchStamps {
@@ -132,9 +134,9 @@ impl ExecMode {
 /// dispatch is reachable solely as the retry ladder's rung 1 through
 /// [`VirtualGpu::set_dispatch_override`]), the per-SM texture cache
 /// simulators (reset, not rebuilt, per launch), and the [`BufferArena`]
-/// recycling the batched executor's shadow buffers across launches. The
-/// frame loop therefore performs no per-launch allocations proportional to
-/// the image or the cache.
+/// recycling the batched executor's deposit lists and merge scratch
+/// across launches. The frame loop therefore performs no per-launch
+/// allocations proportional to the image or the cache.
 #[derive(Debug)]
 pub struct VirtualGpu {
     spec: DeviceSpec,
@@ -172,13 +174,13 @@ pub struct VirtualGpu {
     /// Serializes launches: the persistent caches and arena are device
     /// state, like a CUDA stream-0 queue.
     launch_gate: Mutex<()>,
-    /// Recycled shadow storage for the batched executor.
+    /// Recycled deposit lists and merge scratch for the batched executor.
     arena: BufferArena,
-    /// Recycled per-role run lists for the batched executor's extraction
-    /// merge (capacity persists across launches — the zero-allocation
-    /// frame loop). Guarded by the launch gate like the arena; the mutex
+    /// Recycled per-role sealed deposits for the batched executor's merge
+    /// (capacity persists across launches — the zero-allocation frame
+    /// loop). Guarded by the launch gate like the arena; the mutex
     /// satisfies `Sync`.
-    runs_pool: Mutex<Vec<RoleRuns>>,
+    deposits_pool: Mutex<Vec<RoleDeposits>>,
     /// Telemetry sink; `None` (the default) keeps every launch free of
     /// trace recording and lane-event drains.
     telemetry: Option<Arc<GpuTelemetry>>,
@@ -202,9 +204,9 @@ pub struct VirtualGpu {
 /// first, so a long chaos run without drains cannot grow without bound.
 const SAN_REPORT_BACKLOG: usize = 1024;
 
-/// Upper bound on recycled per-role run lists — one per SM of the widest
-/// device shape plus slack, mirroring the arena's cap.
-const RUNS_POOL_CAP: usize = 64;
+/// Upper bound on recycled per-role sealed deposits — one per SM of the
+/// widest device shape plus slack, mirroring the arena's cap.
+const DEPOSITS_POOL_CAP: usize = 64;
 
 /// Counters of resilience events on a device, all monotone since device
 /// construction. Zero across the board in a fault-free run.
@@ -218,7 +220,7 @@ pub struct GpuDiagnostics {
     pub panics_caught: u64,
     /// Launches abandoned as [`GpuError::LaunchTimeout`].
     pub timeouts: u64,
-    /// Corrupted shadow buffers dropped by the arena instead of recycled.
+    /// Corrupted deposit buffers dropped by the arena instead of recycled.
     pub arena_drops: u64,
 }
 
@@ -287,7 +289,7 @@ impl VirtualGpu {
             caches,
             launch_gate: Mutex::new(()),
             arena: BufferArena::new(),
-            runs_pool: Mutex::new(Vec::new()),
+            deposits_pool: Mutex::new(Vec::new()),
             telemetry: None,
             utilization: None,
             launch_seq: AtomicU64::new(0),
@@ -788,9 +790,9 @@ impl VirtualGpu {
         let arena_drops_before = self.arena.dropped();
 
         // Kernel panics — injected or genuine — must not cross the device
-        // boundary: partial counters and shadows are discarded and the
+        // boundary: partial counters and deposits are discarded and the
         // launch reports `WorkerPanic`. (The caches/arena stay consistent:
-        // caches are reset at every launch entry, and shadow buffers of a
+        // caches are reset at every launch entry, and deposit lists of a
         // panicked launch are dropped, never recycled.)
         let executed = catch_unwind(AssertUnwindSafe(|| {
             // Per-SM texture caches (per-SM texture L1 path on Fermi),
@@ -815,7 +817,7 @@ impl VirtualGpu {
             }
         };
 
-        // Memcheck: any shadow buffer the arena screened out during this
+        // Memcheck: any deposit buffer the arena screened out during this
         // launch is a use-after-recycle — corrupted storage almost handed
         // to a future frame. Reported (in every exec mode), not fatal: the
         // drop itself already contained the damage.
@@ -1076,31 +1078,30 @@ impl VirtualGpu {
     }
 
     /// The batched executor: same SM schedule, but blocks whose kernel
-    /// implements [`Kernel::run_block`] are processed whole, accumulating
-    /// image output into private shadows instead of CAS-looping on the
-    /// shared target.
+    /// implements [`Kernel::run_block`] are processed whole, recording
+    /// image output into private deposit lists instead of CAS-looping on
+    /// the shared target.
     ///
-    /// Each role (SM) accumulates its blocks into a dense scratch shadow
-    /// drawn from the arena, then — still on the worker lane, while the
-    /// touched chunks are cache-warm — drains the scratch into a compact
-    /// run list and recycles it. Only about one scratch buffer per *lane*
-    /// is ever live, so the working set stays small no matter how many
-    /// workers the caller asked for; the post-join merge reads the compact
-    /// runs sequentially instead of re-walking megabytes of cold dense
-    /// shadows. The merge adds role outputs in ascending role order — a
-    /// pure function of the launch schedule — so the image is bit-identical
-    /// for every worker count ≥ 2, lane count, and dispatch path (pooled,
-    /// stolen, or spawned). Per-role accumulation is also what makes work
-    /// stealing safe: two roles of the same worker may run concurrently on
-    /// different lanes, and they never share an accumulator.
+    /// Each role (SM) records its blocks' deposits into lists drawn from
+    /// the arena, then — still on the worker lane — seals them by merge
+    /// tile into its [`RoleDeposits`] and recycles the lists. After the
+    /// join, one pass over the pool lanes merges the sealed deposits, each
+    /// lane owning a contiguous range of tiles and folding every tile in
+    /// an L1-resident scratch, role by role in ascending order
+    /// ([`crate::kernel::merge_band`]). Every pixel sees the same chain of
+    /// adds for every worker count ≥ 2, lane count, and dispatch path
+    /// (pooled, stolen, or spawned), so the image is bit-identical across
+    /// them. Per-role recording is also what makes work stealing safe: two
+    /// roles of the same worker may run concurrently on different lanes,
+    /// and they never share a list.
     ///
     /// At one worker every role runs inline on the launching thread in
-    /// ascending order, and all roles share one launch-wide accumulator,
-    /// extracted once after the last role. Its single chain of adds per
-    /// pixel replays the reference executor's addition order exactly (the
-    /// image starts at zero, so merging the one accumulator is the same
-    /// chain), which keeps the one-worker image equal to `Reference`'s bit
-    /// for bit — a guarantee per-role grouping cannot give.
+    /// ascending order, and all roles share one launch-wide list, sealed
+    /// once after the last role. Its single chain of adds per pixel
+    /// replays the reference executor's addition order exactly (the image
+    /// starts at zero, so merging the one fold is the same chain), which
+    /// keeps the one-worker image equal to `Reference`'s bit for bit — a
+    /// guarantee per-role grouping cannot give.
     fn execute_batched<'k, K: Kernel>(
         &'k self,
         kernel: &'k K,
@@ -1122,19 +1123,20 @@ impl VirtualGpu {
         let counter_slots: Vec<Mutex<Counters>> = (0..workers)
             .map(|_| Mutex::new(Counters::default()))
             .collect();
-        // Target buffers registered by extraction, in first-sight order;
-        // run lists refer to them by slot index.
+        // Target buffers registered by sealing, in first-sight order;
+        // sealed deposits refer to them by slot index.
         let targets: Mutex<Vec<&'k GlobalAtomicF32>> = Mutex::new(Vec::new());
-        // One run list per role, recycled (with their capacity) across
-        // launches so the steady-state frame loop stays allocation-free.
-        let runs: Vec<Mutex<RoleRuns>> = {
-            let mut pool = self.runs_pool.lock().unwrap_or_else(|e| e.into_inner());
+        // One sealed deposit set per role, recycled (with their capacity)
+        // across launches so the steady-state frame loop stays
+        // allocation-free.
+        let deposits: Vec<Mutex<RoleDeposits>> = {
+            let mut pool = self.deposits_pool.lock().unwrap_or_else(|e| e.into_inner());
             (0..sms)
                 .map(|_| Mutex::new(pool.pop().unwrap_or_default()))
                 .collect()
         };
-        // The one-worker launch-wide accumulator (uncontended: every role
-        // runs inline on the launching thread).
+        // The one-worker launch-wide list (uncontended: every role runs
+        // inline on the launching thread).
         let launch_shadow = (workers == 1).then(|| Mutex::new(ShadowSet::with_arena(&self.arena)));
 
         if let Some(s) = stamps {
@@ -1180,16 +1182,12 @@ impl VirtualGpu {
                     }
                     block += sm_count;
                 }
-                // Drain this role's output while its chunks are still
-                // cache-warm; the scratch goes back to the arena drained,
-                // ready for the next role on this lane.
+                // Seal this role's deposits on its own lane; the emptied
+                // lists go back to the arena for the next role.
                 if launch_guard.is_none() {
-                    let mut out = runs[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                    let mut out = deposits[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                     out.clear();
-                    role_shadow.extract_into(
-                        &mut targets.lock().unwrap_or_else(|e| e.into_inner()),
-                        &mut out,
-                    );
+                    role_shadow.seal_into(&targets, &mut out);
                 }
                 counter_slots[worker]
                     .lock()
@@ -1202,44 +1200,48 @@ impl VirtualGpu {
             s.merge_start.set(now_us());
         }
 
-        // Deterministic reduction: counters merge in worker order, role
-        // outputs in role order — both single-threaded under the launch
-        // gate, so the plain read-modify-write in `merge_add_range` is
-        // race-free. The one-worker accumulator is extracted as role 0's
-        // output (every other role's run list stays empty).
+        // Deterministic reduction: counters merge in worker order, and
+        // every pixel takes its role folds in role order. The one-worker
+        // list is sealed as role 0's output (every other role's set stays
+        // empty).
         let mut counters = Counters::default();
         for s in &counter_slots {
             counters.merge(&s.lock().unwrap_or_else(|e| e.into_inner()));
         }
-        let mut targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let (Some(shadow), Some(out)) = (launch_shadow, runs.first()) {
-            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+        let mut deposits: Vec<RoleDeposits> = deposits
+            .into_iter()
+            .map(|d| d.into_inner().unwrap_or_else(|e| e.into_inner()))
+            .collect();
+        if let (Some(shadow), Some(out)) = (launch_shadow, deposits.first_mut()) {
             out.clear();
             shadow
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .extract_into(&mut targets, &mut out);
+                .seal_into(&targets, out);
         }
+        let targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
+        // Lanes own disjoint tile ranges, so the plain read-modify-write
+        // in `merge_drain_range` is race-free.
+        let lanes = self.pool_lanes();
+        self.dispatch_static(lanes, lanes, None, |band, _| {
+            merge_band_pooled(&self.arena, &deposits, &targets, band, lanes);
+        })?;
         {
-            let mut pool = self.runs_pool.lock().unwrap_or_else(|e| e.into_inner());
-            for r in runs {
-                let mut r = r.into_inner().unwrap_or_else(|e| e.into_inner());
-                r.merge_into(&targets);
-                r.clear();
-                if pool.len() < RUNS_POOL_CAP {
-                    pool.push(r);
+            let mut pool = self.deposits_pool.lock().unwrap_or_else(|e| e.into_inner());
+            for mut d in deposits {
+                d.clear();
+                if pool.len() < DEPOSITS_POOL_CAP {
+                    pool.push(d);
                 }
             }
         }
-        // Injected shadow corruption: poison one drained scratch buffer on
-        // its way back to the arena, which must screen (drop) it instead
-        // of recycling it into a future frame.
-        if armed.is_some_and(|a| a.shadow_corrupt) {
-            if let Some(target) = targets.first() {
-                let mut sb = self.arena.take(target.len());
-                sb.poison();
-                self.arena.put(sb);
-            }
+        // Injected shadow corruption: poison one drained buffer on its way
+        // back to the arena, which must screen (drop) it instead of
+        // recycling it into a future frame.
+        if armed.is_some_and(|a| a.shadow_corrupt) && !targets.is_empty() {
+            let mut list = self.arena.take();
+            list.poison();
+            self.arena.put(list);
         }
         counters.shared_hazards += hazards.load(Ordering::Relaxed);
         if let Some(s) = stamps {

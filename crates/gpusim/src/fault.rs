@@ -51,7 +51,7 @@ pub enum FaultKind {
     TransferCorrupt,
     /// A texture bind call fails.
     TextureBindFail,
-    /// A recycled shadow buffer comes back from a launch corrupted (not
+    /// A recycled deposit buffer comes back from a launch corrupted (not
     /// drained); the arena integrity check must drop it, not reuse it.
     ShadowCorrupt,
 }
@@ -94,7 +94,7 @@ pub struct ArmedFaults {
     pub stall_lane: Option<usize>,
     /// Stall duration for a [`FaultKind::StuckLane`] fault.
     pub stall: Duration,
-    /// Corrupt the first worker's shadow buffer after the merge.
+    /// Corrupt one pooled deposit buffer after the merge.
     pub shadow_corrupt: bool,
 }
 

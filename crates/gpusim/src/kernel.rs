@@ -141,7 +141,7 @@ pub trait Kernel: Sync {
     /// particular launch shape must return `false` **before mutating `ctx`
     /// in any way** so the fallback starts from a clean slate.
     ///
-    /// The `'k` lifetime ties shadow-buffer registrations in
+    /// The `'k` lifetime ties deposit-list registrations in
     /// [`BlockCtx::shadow`] to borrows of the kernel itself, letting
     /// implementations hand their `&GlobalAtomicF32` fields to the
     /// executor-owned [`ShadowSet`].
@@ -174,7 +174,7 @@ pub struct BlockCtx<'k, 'a> {
     /// The owning SM's texture cache. Fast-path kernels feed it the same
     /// swizzled addresses, in the same order, as the reference path.
     pub cache: &'a mut CacheSim,
-    /// The worker's private accumulation buffers (image privatization).
+    /// The role's private deposit lists (image privatization).
     pub shadow: &'a mut ShadowSet<'k>,
     /// Arithmetic backend the launch selected ([`crate::LaunchConfig`]'s
     /// `backend`). Fast paths branch on this for their interior loops;
@@ -190,39 +190,37 @@ impl BlockCtx<'_, '_> {
     }
 }
 
-/// Values covered by one dirty bit of a [`ShadowBuf`]: 16 `f32` = 64 B.
-///
-/// Sized to the workload, not the word: the star kernels accumulate
-/// ~10-pixel ROI rows, and every dirty chunk is merged *and zeroed* in
-/// full. At 64 values per bit a 10-value row drags ~6× its footprint
-/// through the merge; at 16 the overshoot is bounded by ~2.6× worst case
-/// while the bitmap (one bit per 64 B) stays a 0.1% overhead.
-const SHADOW_CHUNK: usize = 16;
+/// Values per merge tile (32 KiB of `f32`). The batched executor's
+/// post-join merge walks each target in tiles of this many values and
+/// folds a tile's deposits in a scratch of this size, small enough to stay
+/// in a core's L1 data cache.
+pub(crate) const MERGE_TILE: usize = 8192;
 
-/// A recycling pool of shadow buffers (see [`ShadowBuf`]).
+/// A recycling pool of deposit buffers (see [`DepositList`]).
 ///
-/// The batched executor draws a full-image scratch shadow per role; at
-/// frame rates fresh multi-megabyte allocations would dominate. The arena
-/// keeps *drained* (all-zero, dirty-clear) buffers from finished roles and
-/// hands them back to the next one — clear, don't reallocate. Buffers are
-/// returned only by [`ShadowSet::extract_into`], which zeroes every dirty
-/// chunk as it extracts, so a recycled buffer needs no zeroing pass; a
-/// launch that panics simply drops its buffers instead of recycling them.
+/// The batched executor records every role's deposits into a list drawn
+/// from here, and every merge lane folds its tiles in a scratch drawn from
+/// here; at frame rates fresh allocations would dominate. The arena keeps
+/// *drained* (empty) buffers, with their capacity, and hands them back to
+/// the next role or lane — clear, don't reallocate. Lists come back
+/// through [`ShadowSet::seal_into`], which empties them as it buckets
+/// them; a launch that panics simply drops its buffers instead of
+/// recycling them.
 ///
 /// The drained-buffer invariant is *enforced*, not assumed: both `put` and
-/// `take` check the dirty bitmap (a few words, essentially free) and a
-/// buffer that fails the check — corrupted in flight, or returned by a
-/// faulted launch — is dropped and counted ([`Self::dropped`]) rather than
-/// recycled into a future frame.
+/// `take` check that a buffer is empty (two length reads), and a buffer
+/// that fails the check — corrupted in flight, or returned by a faulted
+/// launch — is dropped and counted ([`Self::dropped`]) rather than
+/// recycled, where its stale rows would leak into a future frame.
 #[derive(Debug, Default)]
 pub struct BufferArena {
-    free: Mutex<Vec<ShadowBuf>>,
+    free: Mutex<Vec<DepositList>>,
     /// Corrupted (non-drained) buffers dropped instead of recycled.
     dropped: AtomicU64,
 }
 
 /// Upper bound on pooled buffers: enough for every worker of the widest
-/// device shape (one shadow per SM plus slack); beyond it, returned
+/// device shape (one list per SM plus merge scratch); beyond it, returned
 /// buffers are dropped instead of hoarded.
 const ARENA_CAP: usize = 64;
 
@@ -242,190 +240,289 @@ impl BufferArena {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// A drained buffer resized for `len` values. Recycled buffers are
-    /// all-zero by the extraction contract; a size change falls back to
-    /// clear-and-resize, and a buffer failing the drained check is dropped
-    /// (defense in depth — `put` already screens).
-    pub(crate) fn take(&self, len: usize) -> ShadowBuf {
+    /// A drained buffer: recycled when one is pooled, fresh otherwise. A
+    /// pooled buffer failing the drained check is dropped (defense in
+    /// depth — `put` already screens).
+    pub(crate) fn take(&self) -> DepositList {
         loop {
             let recycled = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
             match recycled {
-                Some(mut sb) => {
-                    if sb.dirty.iter().any(|&w| w != 0) {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if sb.vals.len() != len {
-                        sb.vals.clear();
-                        sb.vals.resize(len, 0.0);
-                        sb.dirty.clear();
-                        sb.dirty.resize(dirty_words(len), 0);
-                    } else {
-                        debug_assert!(
-                            sb.vals.iter().all(|&v| v == 0.0),
-                            "arena invariant: recycled shadows are drained"
-                        );
-                    }
-                    return sb;
+                Some(list) if !list.is_drained() => {
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
                 }
-                None => {
-                    return ShadowBuf {
-                        vals: vec![0.0; len],
-                        dirty: vec![0; dirty_words(len)],
-                    }
-                }
+                Some(list) => return list,
+                None => return DepositList::default(),
             }
         }
     }
 
     /// Returns a buffer to the pool — if it really is drained. A buffer
-    /// with surviving dirty bits is corrupted (its values may be non-zero,
-    /// which would silently leak into the next frame's image); it is
-    /// dropped and counted instead.
-    pub(crate) fn put(&self, sb: ShadowBuf) {
-        if sb.dirty.iter().any(|&w| w != 0) {
+    /// that still holds rows or values is corrupted; it is dropped and
+    /// counted instead.
+    pub(crate) fn put(&self, list: DepositList) {
+        if !list.is_drained() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
         if free.len() < ARENA_CAP {
-            free.push(sb);
+            free.push(list);
         }
     }
 }
 
-/// `u64` words needed to carry one dirty bit per [`SHADOW_CHUNK`] values.
-fn dirty_words(len: usize) -> usize {
-    len.div_ceil(SHADOW_CHUNK).div_ceil(64)
-}
-
-/// One role's private shadow of an `atomicAdd` target buffer, with a
-/// coarse dirty bitmap (one bit per [`SHADOW_CHUNK`] values).
+/// One role's deposits into one `atomicAdd` target, in the order the role
+/// made them: rows of `(start index, value count)` whose values sit back
+/// to back.
 ///
-/// The bitmap makes the drain proportional to the *touched* footprint
-/// instead of the buffer length — each role's shadow holds a thin slice of
-/// the image, and scanning megabytes of untouched zeros per role would
-/// dwarf the actual extraction work.
-#[derive(Debug)]
-pub struct ShadowBuf {
+/// **Deposit contract.** A row handed out by [`Self::span_mut`] starts
+/// zeroed, and the kernel adds into each of its slots exactly once
+/// (`*slot += v`); [`Self::add`] is one such add. The merge folds a role's
+/// rows per pixel in recording order starting from zero, which is the
+/// chain of adds a dense per-role accumulator would see — bit for bit,
+/// because each slot carries one deposit. `psf::lanes::accumulate` and
+/// `PsfModel::accumulate_row` keep the contract (one add per slot).
+#[derive(Debug, Default)]
+pub struct DepositList {
+    rows: Vec<(u32, u32)>,
     vals: Vec<f32>,
-    /// Bit `c` of word `c / 64` set ⇔ values `[c·K, (c+1)·K)` for
-    /// `K = SHADOW_CHUNK` may be non-zero. Unmarked chunks are guaranteed
-    /// all-zero.
-    dirty: Vec<u64>,
 }
 
-impl ShadowBuf {
-    /// `self[idx] += v`.
+impl DepositList {
+    /// Deposits `v` at `idx`: extends the last row when `idx` directly
+    /// follows it, else opens a one-value row.
+    ///
+    /// # Panics
+    /// Panics when `idx` does not fit the `u32` row format; an index past
+    /// the target's end panics when the list is sealed.
     #[inline]
     pub fn add(&mut self, idx: usize, v: f32) {
-        self.vals[idx] += v;
-        let chunk = idx / SHADOW_CHUNK;
-        self.dirty[chunk / 64] |= 1 << (chunk % 64);
+        match self.rows.last_mut() {
+            Some((start, len)) if *start as usize + *len as usize == idx => *len += 1,
+            _ => self.rows.push((row_index(idx), 1)),
+        }
+        self.vals.push(v);
     }
 
-    /// Mutable view of `[start, end)`, marked dirty — the tight-loop API
-    /// for kernels accumulating a whole ROI row at once.
+    /// A zeroed row covering `[start, end)` of the target — the tight-loop
+    /// API for kernels depositing a whole ROI row at once. Add into each
+    /// slot exactly once (see the type's deposit contract). An empty range
+    /// records nothing.
+    ///
+    /// # Panics
+    /// Panics when `start > end` or `end` does not fit the `u32` row
+    /// format; a row past the target's end panics when the list is sealed.
     #[inline]
     pub fn span_mut(&mut self, start: usize, end: usize) -> &mut [f32] {
-        debug_assert!(start <= end && end <= self.vals.len());
-        let mut chunk = start / SHADOW_CHUNK;
-        let last = end.saturating_sub(1) / SHADOW_CHUNK;
-        while chunk <= last {
-            self.dirty[chunk / 64] |= 1 << (chunk % 64);
-            chunk += 1;
+        assert!(start <= end, "deposit row [{start}, {end}) is reversed");
+        let at = self.vals.len();
+        if end > start {
+            row_index(end);
+            self.rows.push((start as u32, (end - start) as u32));
+            self.vals.resize(at + end - start, 0.0);
         }
-        &mut self.vals[start..end]
+        &mut self.vals[at..]
     }
 
-    /// Visits every dirty run in ascending index order as
-    /// `f(start, span)`, clearing the dirty bits; `f` must leave the span
-    /// all-zero (drained) so the buffer is recyclable afterwards.
-    ///
-    /// Runs of consecutive dirty chunks (the common case: an ROI row
-    /// straddling a chunk boundary) coalesce into one visit, and each
-    /// chunk is seen once, in ascending order either way — the per-pixel
-    /// order is unchanged.
-    fn drain_runs(&mut self, mut f: impl FnMut(usize, &mut [f32])) {
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            *word = 0;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                // Length of the run of set bits starting at `b`.
-                let run = (!(bits >> b)).trailing_zeros() as usize;
-                bits &= if b + run >= 64 {
-                    0
-                } else {
-                    !(((1u64 << run) - 1) << b)
-                };
-                let start = (w * 64 + b) * SHADOW_CHUNK;
-                let end = (start + run * SHADOW_CHUNK).min(self.vals.len());
-                f(start, &mut self.vals[start..end]);
-            }
-        }
+    /// Whether the list holds nothing (the arena's recycling invariant).
+    fn is_drained(&self) -> bool {
+        self.rows.is_empty() && self.vals.is_empty()
     }
 
-    /// Marks the buffer corrupted — first value poisoned, first dirty bit
-    /// re-set — simulating in-flight corruption of drained storage. Used
-    /// by fault injection to exercise the arena's integrity screen.
-    pub(crate) fn poison(&mut self) {
-        if !self.vals.is_empty() {
-            self.vals[0] = f32::NAN;
-            self.dirty[0] |= 1;
-        }
-    }
-}
-
-/// One role's extracted kernel output: compact runs of values destined for
-/// target buffers registered in a launch-wide slot table. Recorded in
-/// ascending index order per target; `vals` holds the run values back to
-/// back. Recycled (with capacity) across launches by the executor.
-#[derive(Debug, Default)]
-pub(crate) struct RoleRuns {
-    /// `(target slot, start index in the target, value count)` per run.
-    segs: Vec<(u32, u32, u32)>,
-    vals: Vec<f32>,
-}
-
-impl RoleRuns {
-    /// Empties the lists, keeping their capacity.
-    pub(crate) fn clear(&mut self) {
-        self.segs.clear();
+    /// Empties the list, keeping its capacity.
+    fn clear(&mut self) {
+        self.rows.clear();
         self.vals.clear();
     }
 
-    /// Adds every recorded non-zero value into its target buffer, in
-    /// recorded (ascending) order. Single-writer, like
-    /// [`GlobalAtomicF32::merge_add_range`].
-    pub(crate) fn merge_into(&self, targets: &[&GlobalAtomicF32]) {
-        let mut cursor = 0usize;
-        for &(slot, start, len) in &self.segs {
-            let vals = &self.vals[cursor..cursor + len as usize];
-            cursor += len as usize;
-            targets[slot as usize].merge_add_range(start as usize, vals);
-        }
+    /// Marks the buffer corrupted — a stale NaN row left behind —
+    /// simulating in-flight corruption of drained storage. Used by fault
+    /// injection to exercise the arena's integrity screen.
+    pub(crate) fn poison(&mut self) {
+        self.add(0, f32::NAN);
     }
 }
 
-/// Per-role private shadows of `atomicAdd` target buffers.
+/// `idx` in the `u32` row format of [`DepositList`].
+#[inline]
+fn row_index(idx: usize) -> u32 {
+    u32::try_from(idx).expect("deposit index fits the u32 row format")
+}
+
+/// Calls `f(tile, start, len)` for each piece of `[start, end)` cut at
+/// merge-tile boundaries, in ascending order.
+#[inline]
+fn for_each_tile_piece(start: usize, end: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let mut s = start;
+    while s < end {
+        let tile = s / MERGE_TILE;
+        let e = end.min((tile + 1) * MERGE_TILE);
+        f(tile, s, e - s);
+        s = e;
+    }
+}
+
+/// One role's sealed kernel output: its deposits bucketed by merge tile of
+/// each target it touched, targets referred to by their slot in a
+/// launch-wide table. Recycled (with capacity) across launches by the
+/// executor.
+#[derive(Debug, Default)]
+pub(crate) struct RoleDeposits {
+    /// `(target slot, index of the target's first entry in `buckets`)`.
+    parts: Vec<(u32, u32)>,
+    /// Per part, one `(row, value)` offset pair per tile plus an end
+    /// marker: tile `t`'s rows are `rows[b[t].0..b[t + 1].0]` and its
+    /// values `vals[b[t].1..b[t + 1].1]`.
+    buckets: Vec<(u32, u32)>,
+    /// `(start within the tile, value count)`, recording order per tile.
+    rows: Vec<(u32, u32)>,
+    vals: Vec<f32>,
+}
+
+impl RoleDeposits {
+    /// Empties the lists, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.parts.clear();
+        self.buckets.clear();
+        self.rows.clear();
+        self.vals.clear();
+    }
+
+    /// Buckets `list`'s rows by merge tile of the `len`-value target in
+    /// `slot` — a stable counting sort, so rows keep recording order
+    /// inside each tile, and a row crossing a tile boundary is cut in two
+    /// — then empties `list`.
+    ///
+    /// # Panics
+    /// Panics when a row reaches past `len` (an out-of-bounds deposit).
+    fn seal(&mut self, slot: u32, list: &mut DepositList, len: usize) {
+        let first = self.buckets.len();
+        self.parts.push((slot, first as u32));
+        // Count each tile's rows and values into the entry after it.
+        self.buckets
+            .resize(first + len.div_ceil(MERGE_TILE) + 1, (0, 0));
+        for &(start, n) in &list.rows {
+            let (start, end) = (start as usize, start as usize + n as usize);
+            assert!(
+                end <= len,
+                "deposit [{start}, {end}) out of bounds of a {len}-value buffer"
+            );
+            for_each_tile_piece(start, end, |t, _, n| {
+                let b = &mut self.buckets[first + t + 1];
+                *b = (b.0 + 1, b.1 + n as u32);
+            });
+        }
+        // Prefix sums: entry `t + 1` becomes tile `t`'s write cursor, and
+        // the scatter below advances it to the tile's end.
+        let mut at = (self.rows.len() as u32, self.vals.len() as u32);
+        self.buckets[first] = at;
+        for b in &mut self.buckets[first + 1..] {
+            let count = *b;
+            *b = at;
+            at = (at.0 + count.0, at.1 + count.1);
+        }
+        self.rows.resize(at.0 as usize, (0, 0));
+        self.vals.resize(at.1 as usize, 0.0);
+        let mut read = 0usize;
+        for &(start, n) in &list.rows {
+            let start = start as usize;
+            for_each_tile_piece(start, start + n as usize, |t, s, n| {
+                let b = &mut self.buckets[first + t + 1];
+                let (r, v) = (b.0 as usize, b.1 as usize);
+                self.rows[r] = ((s - t * MERGE_TILE) as u32, n as u32);
+                self.vals[v..v + n].copy_from_slice(&list.vals[read..read + n]);
+                *b = (b.0 + 1, b.1 + n as u32);
+                read += n;
+            });
+        }
+        list.clear();
+    }
+
+    /// Tile `tile` of the target in `slot`: its rows and their values
+    /// (both empty when this role deposited nothing there).
+    #[inline]
+    fn tile(&self, slot: u32, tile: usize) -> (&[(u32, u32)], &[f32]) {
+        let Some(&(_, first)) = self.parts.iter().find(|p| p.0 == slot) else {
+            return (&[], &[]);
+        };
+        let (b, e) = (
+            self.buckets[first as usize + tile],
+            self.buckets[first as usize + tile + 1],
+        );
+        (
+            &self.rows[b.0 as usize..e.0 as usize],
+            &self.vals[b.1 as usize..e.1 as usize],
+        )
+    }
+}
+
+/// Merges band `band` of `bands` — a contiguous range of the merge tiles
+/// of every target, in slot order — of the roles' sealed deposits into the
+/// targets, using `scratch` (one all-zero tile, left all-zero).
+///
+/// For each tile and each role in ascending order, the role's rows are
+/// added into the scratch in recording order, then the scratch's non-zero
+/// values are added into the target and re-zeroed. Per pixel the target
+/// therefore gains `Σ_r fold(role r's deposits)` in ascending role order —
+/// one add per role that touched the pixel, whichever band or lane merges
+/// it. Skipping zeros is bit-exact: `x + 0.0 == x` bitwise for every
+/// non-negative `x`, and accumulated intensities are non-negative. The
+/// work is proportional to the deposits: a tile no role deposits into is
+/// never read.
+pub(crate) fn merge_band(
+    roles: &[RoleDeposits],
+    targets: &[&GlobalAtomicF32],
+    band: usize,
+    bands: usize,
+    scratch: &mut [f32],
+) {
+    let total: usize = targets.iter().map(|t| t.len().div_ceil(MERGE_TILE)).sum();
+    let (lo, hi) = (total * band / bands, total * (band + 1) / bands);
+    let mut first = 0usize;
+    for (slot, target) in targets.iter().enumerate() {
+        let tiles = target.len().div_ceil(MERGE_TILE);
+        for t in lo.max(first)..hi.min(first + tiles) {
+            let tile = t - first;
+            let base = tile * MERGE_TILE;
+            for role in roles {
+                let (rows, vals) = role.tile(slot as u32, tile);
+                let mut at = 0usize;
+                for &(s, n) in rows {
+                    let (s, n) = (s as usize, n as usize);
+                    for (acc, &v) in scratch[s..s + n].iter_mut().zip(&vals[at..at + n]) {
+                        *acc += v;
+                    }
+                    at += n;
+                }
+                for &(s, n) in rows {
+                    let (s, n) = (s as usize, n as usize);
+                    target.merge_drain_range(base + s, &mut scratch[s..s + n]);
+                }
+            }
+        }
+        first += tiles;
+    }
+}
+
+/// Per-role deposit lists for `atomicAdd` target buffers.
 ///
 /// Instead of CAS-looping on the shared [`GlobalAtomicF32`] from every
-/// worker, each role (SM) of the batched executor accumulates into a
-/// private `f32` image registered here. The role's output is extracted
-/// into a compact run list ([`Self::extract_into`]) and the executor adds
-/// the run lists into their targets in ascending role order once all
-/// workers have joined. That merge is single-threaded and its order is a
-/// function of the launch schedule alone, so the result is deterministic;
-/// modeled atomic traffic is accounted analytically by the kernel's
-/// `run_block`, unaffected by this host-side strategy.
+/// worker, each role (SM) of the batched executor records its deposits
+/// into a private [`DepositList`] per target registered here. The role
+/// seals its lists by merge tile ([`Self::seal_into`]) and the executor
+/// merges the sealed lists into their targets, tile by tile in ascending
+/// role order, once all workers have joined ([`merge_band`]). The order
+/// each pixel sees is a function of the launch schedule alone, so the
+/// result is deterministic; modeled atomic traffic is accounted
+/// analytically by the kernel's `run_block`, unaffected by this host-side
+/// strategy.
 ///
-/// Shadow storage is drawn from, and returned to, a [`BufferArena`] —
+/// List storage is drawn from, and returned to, a [`BufferArena`] —
 /// recycled across launches instead of reallocated, the zero-allocation
 /// frame loop.
 #[derive(Debug)]
 pub struct ShadowSet<'k> {
-    bufs: Vec<(&'k GlobalAtomicF32, ShadowBuf)>,
+    lists: Vec<(&'k GlobalAtomicF32, DepositList)>,
     arena: &'k BufferArena,
 }
 
@@ -434,60 +531,74 @@ impl<'k> ShadowSet<'k> {
     /// `arena`.
     pub fn with_arena(arena: &'k BufferArena) -> Self {
         ShadowSet {
-            bufs: Vec::new(),
+            lists: Vec::new(),
             arena,
         }
     }
 
-    /// `shadow[buf][idx] += v`, allocating the shadow of `buf` (zeroed, one
-    /// slot per element) on first use.
+    /// Deposits `v` at `buf[idx]`.
     #[inline]
     pub fn add(&mut self, buf: &'k GlobalAtomicF32, idx: usize, v: f32) {
         self.accumulator(buf).add(idx, v);
     }
 
-    /// The private accumulator for `buf`, allocating it on first use.
+    /// The deposit list for `buf`, drawn from the arena on first use.
     /// Buffers are identified by address; launches touch one or two, so
     /// the linear scan is free — but kernels should hoist this lookup out
     /// of per-pixel loops.
     #[inline]
-    pub fn accumulator(&mut self, buf: &'k GlobalAtomicF32) -> &mut ShadowBuf {
-        if let Some(pos) = self.bufs.iter().position(|(b, _)| std::ptr::eq(*b, buf)) {
-            return &mut self.bufs[pos].1;
+    pub fn accumulator(&mut self, buf: &'k GlobalAtomicF32) -> &mut DepositList {
+        if let Some(pos) = self.lists.iter().position(|(b, _)| std::ptr::eq(*b, buf)) {
+            return &mut self.lists[pos].1;
         }
-        let sb = self.arena.take(buf.len());
-        self.bufs.push((buf, sb));
-        &mut self.bufs.last_mut().expect("just pushed").1
+        self.lists.push((buf, self.arena.take()));
+        &mut self.lists.last_mut().expect("just pushed").1
     }
 
-    /// Drains every accumulator into `out` as compact runs — registering
+    /// Seals every list into `out`, bucketed by merge tile — registering
     /// each target buffer in `targets` (by address) on first sight and
-    /// referring to it by slot — then recycles the drained scratch into
-    /// the arena.
+    /// referring to it by slot — then recycles the emptied lists into the
+    /// arena.
     ///
-    /// This is the batched executor's per-role drain: it runs on the
-    /// worker lane right after the role's blocks, while the touched chunks
-    /// are cache-warm. The extracted values are exactly the per-role
-    /// accumulated values in ascending index order, so a later
-    /// [`RoleRuns::merge_into`] in role order reproduces the one-add-per-
-    /// role-pixel reduction bit-for-bit.
-    pub(crate) fn extract_into(self, targets: &mut Vec<&'k GlobalAtomicF32>, out: &mut RoleRuns) {
-        for (buf, mut sb) in self.bufs {
-            let slot = targets
-                .iter()
-                .position(|t| std::ptr::eq(*t, buf))
-                .unwrap_or_else(|| {
-                    targets.push(buf);
-                    targets.len() - 1
-                }) as u32;
-            sb.drain_runs(|start, span| {
-                out.segs.push((slot, start as u32, span.len() as u32));
-                out.vals.extend_from_slice(span);
-                span.fill(0.0);
-            });
-            self.arena.put(sb);
+    /// This is the batched executor's per-role step on the worker lane,
+    /// right after the role's blocks; only target registration takes the
+    /// shared lock.
+    pub(crate) fn seal_into(
+        self,
+        targets: &Mutex<Vec<&'k GlobalAtomicF32>>,
+        out: &mut RoleDeposits,
+    ) {
+        for (buf, mut list) in self.lists {
+            let slot = {
+                let mut targets = targets.lock().unwrap_or_else(|e| e.into_inner());
+                targets
+                    .iter()
+                    .position(|t| std::ptr::eq(*t, buf))
+                    .unwrap_or_else(|| {
+                        targets.push(buf);
+                        targets.len() - 1
+                    })
+            };
+            out.seal(slot as u32, &mut list, buf.len());
+            self.arena.put(list);
         }
     }
+}
+
+/// Runs [`merge_band`] for one lane with a tile scratch drawn from (and
+/// returned drained to) `arena`.
+pub(crate) fn merge_band_pooled(
+    arena: &BufferArena,
+    roles: &[RoleDeposits],
+    targets: &[&GlobalAtomicF32],
+    band: usize,
+    bands: usize,
+) {
+    let mut scratch = arena.take();
+    merge_band(roles, targets, band, bands, scratch.span_mut(0, MERGE_TILE));
+    // The merge leaves the scratch all-zero; empty it for recycling.
+    scratch.clear();
+    arena.put(scratch);
 }
 
 /// Per-thread execution context: identity, shared memory, and event log.
@@ -791,12 +902,15 @@ mod tests {
         assert!(c.exited());
     }
 
-    /// The executor's per-role drain followed by its post-join merge.
-    fn extract_and_merge(shadow: ShadowSet<'_>) {
-        let mut targets = Vec::new();
-        let mut runs = RoleRuns::default();
-        shadow.extract_into(&mut targets, &mut runs);
-        runs.merge_into(&targets);
+    /// The executor's per-role seal followed by its post-join merge, as
+    /// one role merged by one lane.
+    fn seal_and_merge(shadow: ShadowSet<'_>) {
+        let arena = shadow.arena;
+        let targets = Mutex::new(Vec::new());
+        let mut role = RoleDeposits::default();
+        shadow.seal_into(&targets, &mut role);
+        let targets = targets.into_inner().unwrap();
+        merge_band_pooled(arena, &[role], &targets, 0, 1);
     }
 
     #[test]
@@ -808,34 +922,49 @@ mod tests {
         shadow.add(&img, 0, 0.5);
         shadow.add(&img, 2, 1.0);
         shadow.add(&img, 2, 1.0);
-        extract_and_merge(shadow);
+        seal_and_merge(shadow);
         assert_eq!(img.to_host(), vec![1.5, 2.0, 5.0]);
     }
 
     #[test]
-    fn shadow_buf_span_marks_dirty_chunks() {
+    fn deposit_rows_merge_across_a_tile_boundary() {
         let space = AddressSpace::new();
-        // Large enough that an unmarked merge scan would visit many chunks.
-        let img = GlobalAtomicF32::zeroed(&space, 1024);
+        // Two merge tiles, so the first row straddles their boundary.
+        let img = GlobalAtomicF32::zeroed(&space, 2 * MERGE_TILE);
         let arena = BufferArena::new();
         let mut shadow = ShadowSet::with_arena(&arena);
         let acc = shadow.accumulator(&img);
-        // A span crossing a chunk boundary.
-        let span = acc.span_mut(60, 70);
-        for v in span.iter_mut() {
+        let edge = MERGE_TILE - 4;
+        for v in acc.span_mut(edge, edge + 10) {
             *v += 2.0;
         }
-        acc.add(1000, 3.0);
-        extract_and_merge(shadow);
+        acc.add(2 * MERGE_TILE - 1, 3.0);
+        seal_and_merge(shadow);
         let host = img.to_host();
         for (i, &v) in host.iter().enumerate() {
-            let expect = match i {
-                60..=69 => 2.0,
-                1000 => 3.0,
-                _ => 0.0,
+            let expect = if (edge..edge + 10).contains(&i) {
+                2.0
+            } else if i == 2 * MERGE_TILE - 1 {
+                3.0
+            } else {
+                0.0
             };
             assert_eq!(v, expect, "pixel {i}");
         }
+    }
+
+    #[test]
+    fn add_extends_contiguous_rows_only() {
+        let arena = BufferArena::new();
+        let mut list = arena.take();
+        list.add(5, 1.0);
+        list.add(6, 1.0);
+        list.span_mut(7, 9).fill(1.0);
+        list.add(9, 1.0);
+        list.add(9, 1.0);
+        list.span_mut(3, 3);
+        assert_eq!(list.rows, vec![(5, 2), (7, 3), (9, 1)]);
+        assert_eq!(list.vals.len(), 6);
     }
 
     #[test]
@@ -846,16 +975,17 @@ mod tests {
         {
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
-            extract_and_merge(shadow);
+            seal_and_merge(shadow);
         }
-        assert_eq!(arena.pooled(), 1, "extraction must return the buffer");
+        // The role's list, reused as the lane's merge scratch.
+        assert_eq!(arena.pooled(), 1, "sealing and merging return the buffer");
         {
-            // Second use draws the recycled (drained) buffer; the merged
-            // result must be indistinguishable from a fresh allocation.
+            // Second use draws the recycled (drained) buffers; the merged
+            // result must be indistinguishable from fresh allocations.
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
             shadow.add(&img, 255, 4.0);
-            extract_and_merge(shadow);
+            seal_and_merge(shadow);
         }
         assert_eq!(arena.pooled(), 1);
         assert_eq!(img.read(7), 2.0);
@@ -863,17 +993,17 @@ mod tests {
     }
 
     #[test]
-    fn arena_resizes_recycled_buffers() {
+    fn arena_recycles_buffers_across_target_sizes() {
         let space = AddressSpace::new();
         let small = GlobalAtomicF32::zeroed(&space, 8);
         let big = GlobalAtomicF32::zeroed(&space, 4096);
         let arena = BufferArena::new();
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&small, 3, 1.0);
-        extract_and_merge(shadow);
+        seal_and_merge(shadow);
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&big, 4095, 2.0);
-        extract_and_merge(shadow);
+        seal_and_merge(shadow);
         assert_eq!(small.read(3), 1.0);
         assert_eq!(big.read(4095), 2.0);
     }
@@ -886,12 +1016,12 @@ mod tests {
         {
             let mut shadow = ShadowSet::with_arena(&arena);
             shadow.add(&img, 7, 1.0);
-            extract_and_merge(shadow);
+            seal_and_merge(shadow);
             // Injected corruption, as the executor injects it: the drained
             // buffer comes back non-drained.
-            let mut sb = arena.take(256);
-            sb.poison();
-            arena.put(sb);
+            let mut list = arena.take();
+            list.poison();
+            arena.put(list);
         }
         assert_eq!(arena.pooled(), 0, "corrupted buffer must not be pooled");
         assert_eq!(arena.dropped(), 1);
@@ -900,7 +1030,7 @@ mod tests {
         // The next launch allocates fresh and the frame stays clean.
         let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&img, 7, 1.0);
-        extract_and_merge(shadow);
+        seal_and_merge(shadow);
         assert_eq!(arena.pooled(), 1);
         assert_eq!(img.read(7), 2.0);
         for i in 0..256 {
@@ -913,20 +1043,143 @@ mod tests {
         let arena = BufferArena::new();
         // Plant a corrupted buffer directly in the free list (put() would
         // screen it, so bypass it to exercise take()'s check).
+        let mut stale = DepositList::default();
+        stale.span_mut(0, 32).fill(9.0);
         arena
             .free
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(ShadowBuf {
-                vals: vec![9.0; 32],
-                dirty: vec![1; dirty_words(32)],
-            });
-        let sb = arena.take(32);
-        assert!(
-            sb.vals.iter().all(|&v| v == 0.0),
-            "take must hand out a clean buffer"
-        );
+            .push(stale);
+        let list = arena.take();
+        assert!(list.is_drained(), "take must hand out a clean buffer");
         assert_eq!(arena.dropped(), 1);
         assert_eq!(arena.pooled(), 0);
+    }
+
+    /// A seeded xorshift stream for the differential merge test.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn tile_merge_matches_a_dense_fold_in_role_order() {
+        // Target lengths that are not multiples of the tile, one of them
+        // shorter than a tile.
+        let lens = [3 * MERGE_TILE + 1234, 777];
+        let roles = 5;
+        let space = AddressSpace::new();
+        let init: Vec<Vec<f32>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|i| (i % 3) as f32 * 0.5).collect())
+            .collect();
+        // Deposits per role, per target: (index, value) in recording order.
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut plan: Vec<Vec<Vec<(usize, f32)>>> = vec![vec![Vec::new(); lens.len()]; roles];
+        // Each role's recording, as a list of (target, row start, values).
+        let mut recs: Vec<Vec<(usize, usize, Vec<f32>)>> = vec![Vec::new(); roles];
+        for (r, rec) in recs.iter_mut().enumerate() {
+            // A row straddling the first tile boundary.
+            rec.push((0, MERGE_TILE - 3, vec![0.25 + r as f32; 7]));
+            // Two overlapping rows from one role.
+            rec.push((0, 100, vec![1.0 / 3.0; 10]));
+            rec.push((0, 104, vec![0.1; 10]));
+            // An empty row and zero-valued deposits.
+            rec.push((0, 500, Vec::new()));
+            rec.push((0, 600, vec![0.0; 4]));
+            // The tail of a target whose length is not a tile multiple.
+            rec.push((0, lens[0] - 5, vec![0.7; 5]));
+            for _ in 0..200 {
+                let t = rng.below(lens.len());
+                let n = 1 + rng.below(12);
+                let start = rng.below(lens[t] - n + 1);
+                let vals = (0..n).map(|_| (rng.below(1000) as f32) / 97.0).collect();
+                rec.push((t, start, vals));
+            }
+            // Single-value deposits, some contiguous with the last row.
+            for _ in 0..50 {
+                let t = rng.below(lens.len());
+                let i = rng.below(lens[t]);
+                rec.push((t, i, vec![(rng.below(100) as f32) / 7.0]));
+            }
+        }
+        for (r, rec) in recs.iter().enumerate() {
+            for (t, start, vals) in rec {
+                for (k, &v) in vals.iter().enumerate() {
+                    plan[r][*t].push((start + k, v));
+                }
+            }
+        }
+        // The naive dense reference: per role, a zeroed image folded in
+        // recording order, then added into the target in role order
+        // (zeros skipped).
+        let mut want = init.clone();
+        for role_plan in &plan {
+            for (t, deposits) in role_plan.iter().enumerate() {
+                let mut dense = vec![0.0f32; lens[t]];
+                for &(i, v) in deposits {
+                    dense[i] += v;
+                }
+                for (w, &d) in want[t].iter_mut().zip(&dense) {
+                    if d != 0.0 {
+                        *w += d;
+                    }
+                }
+            }
+        }
+        for bands in [1, 2, 3, 7] {
+            let targets: Vec<GlobalAtomicF32> = init
+                .iter()
+                .map(|v| GlobalAtomicF32::from_host(&space, v))
+                .collect();
+            let arena = BufferArena::new();
+            let table = Mutex::new(Vec::new());
+            let mut sealed: Vec<RoleDeposits> = Vec::new();
+            for (r, rec) in recs.iter().enumerate() {
+                let mut shadow = ShadowSet::with_arena(&arena);
+                // Roles register the two targets in opposite orders.
+                let order: Vec<usize> = if r % 2 == 0 { vec![0, 1] } else { vec![1, 0] };
+                for &t in &order {
+                    shadow.accumulator(&targets[t]);
+                }
+                for (t, start, vals) in rec {
+                    let acc = shadow.accumulator(&targets[*t]);
+                    if vals.len() == 1 {
+                        acc.add(*start, vals[0]);
+                    } else {
+                        for (slot, &v) in acc
+                            .span_mut(*start, start + vals.len())
+                            .iter_mut()
+                            .zip(vals)
+                        {
+                            *slot += v;
+                        }
+                    }
+                }
+                let mut out = RoleDeposits::default();
+                shadow.seal_into(&table, &mut out);
+                sealed.push(out);
+            }
+            let table = table.into_inner().unwrap();
+            for band in 0..bands {
+                merge_band_pooled(&arena, &sealed, &table, band, bands);
+            }
+            for (t, target) in targets.iter().enumerate() {
+                let got: Vec<u32> = target.to_host().iter().map(|v| v.to_bits()).collect();
+                let exp: Vec<u32> = want[t].iter().map(|v| v.to_bits()).collect();
+                assert!(got == exp, "target {t} differs at {bands} bands");
+            }
+            assert_eq!(arena.dropped(), 0);
+        }
     }
 }

@@ -85,7 +85,7 @@ pub use error::GpuError;
 pub use exec::{ExecMode, GpuDiagnostics, VirtualGpu};
 pub use fault::{ArmedFaults, FaultKind, FaultPlan, FaultSpec};
 pub use kernel::{
-    BlockCtx, BufferArena, Event, Kernel, KernelBackend, ShadowBuf, ShadowSet, ThreadCtx,
+    BlockCtx, BufferArena, DepositList, Event, Kernel, KernelBackend, ShadowSet, ThreadCtx,
 };
 pub use launch::LaunchConfig;
 pub use memory::global::{GlobalAtomicF32, GlobalBuffer};

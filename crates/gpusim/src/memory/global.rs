@@ -169,21 +169,24 @@ impl GlobalAtomicF32 {
         self.data[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Single-writer bulk add of a sub-range: `self[start + i] += vals[i]`
-    /// for every non-zero entry of `vals`.
+    /// Single-writer drain of a scratch span into a sub-range:
+    /// `self[start + i] += vals[i]` for every non-zero entry of `vals`,
+    /// which is then zeroed, so `vals` comes back all-zero.
     ///
-    /// Used by the batched executor to merge extracted role outputs after
-    /// all workers have joined; because merges are sequential, a plain
-    /// load/store per element replaces the CAS loop. Skipping zeros is
-    /// bit-exact here: `x + 0.0 == x` bitwise for every non-negative `x`,
-    /// and accumulated intensities are non-negative.
+    /// Used by the batched executor to merge folded role deposits after
+    /// all workers have joined. Each merge lane owns a disjoint range of
+    /// the buffer, so a plain load/store per element replaces the CAS
+    /// loop. Skipping zeros is bit-exact here: `x + 0.0 == x` bitwise for
+    /// every non-negative `x`, and accumulated intensities are
+    /// non-negative.
     #[inline]
-    pub fn merge_add_range(&self, start: usize, vals: &[f32]) {
+    pub(crate) fn merge_drain_range(&self, start: usize, vals: &mut [f32]) {
         debug_assert!(start + vals.len() <= self.data.len());
-        for (cell, &v) in self.data[start..start + vals.len()].iter().zip(vals) {
-            if v != 0.0 {
+        for (cell, v) in self.data[start..start + vals.len()].iter().zip(vals) {
+            if *v != 0.0 {
                 let cur = f32::from_bits(cell.load(Ordering::Relaxed));
-                cell.store((cur + v).to_bits(), Ordering::Relaxed);
+                cell.store((cur + *v).to_bits(), Ordering::Relaxed);
+                *v = 0.0;
             }
         }
     }
@@ -338,17 +341,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_add_range_matches_offset_atomics() {
+    fn merge_drain_range_matches_offset_atomics() {
         let space = AddressSpace::new();
         let a = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0, 4.0, 5.0]);
         let b = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0, 4.0, 5.0]);
         let delta = [0.25f32, 0.0, 0.75];
-        a.merge_add_range(1, &delta);
+        let mut scratch = delta;
+        a.merge_drain_range(1, &mut scratch);
         for (i, &v) in delta.iter().enumerate() {
             b.atomic_add(1 + i, v);
         }
         assert_eq!(a.to_host(), b.to_host());
         assert_eq!(a.read(4), 5.0, "entries past the range are untouched");
+        assert_eq!(scratch, [0.0; 3], "the drained span comes back all-zero");
     }
 
     #[test]

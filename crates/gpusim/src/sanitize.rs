@@ -18,8 +18,9 @@
 //!   a barrier other lanes arrive at) and shared-memory reads of words no
 //!   lane has initialized;
 //! * **memcheck** — out-of-bounds global / shared / texture indices are
-//!   *reported* instead of panicking, and [`crate::BufferArena`]
-//!   use-after-recycle screening surfaces as a finding;
+//!   *reported* instead of panicking, and a [`crate::BufferArena`]
+//!   use-after-recycle (a pooled deposit buffer found non-empty and
+//!   dropped) surfaces as a finding;
 //! * **static validation** — [`validate_roi`] and [`validate_lut_domain`]
 //!   reject bad launches (ROI larger than the image, LUT fetch domain
 //!   outside the bound table) with typed [`GpuError`]s *before* dispatch,

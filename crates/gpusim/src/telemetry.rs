@@ -209,7 +209,7 @@ pub struct LaunchTrace {
     /// Host dispatch window `[start, end)` in epoch microseconds, if
     /// the executor stamped one.
     pub dispatch_us: Option<(u64, u64)>,
-    /// Shadow-merge window `[start, end)` in epoch microseconds, if the
+    /// Deposit-merge window `[start, end)` in epoch microseconds, if the
     /// batched executor stamped one.
     pub merge_us: Option<(u64, u64)>,
     /// Modeled GPU kernel time in seconds (the analytical Fermi model).

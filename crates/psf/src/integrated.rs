@@ -171,7 +171,9 @@ impl PsfModel {
     }
 
     /// Adds `gain · μ(x0 + i, y)` into `acc[i]` for a contiguous pixel
-    /// row — the SIMD-backend entry point of the batched kernels.
+    /// row — the SIMD-backend entry point of the batched kernels. Every
+    /// slot receives exactly one add, the contract the batched executor's
+    /// deposit rows rely on for bit-identical merges.
     ///
     /// Point and Integrated Gaussians ride the [`crate::lanes`] vector
     /// layer (bounded approximation error, documented per method); the

@@ -230,10 +230,11 @@ pub fn erf_f32(x: f32) -> f32 {
 
 /// `dst[i] += src[i]` over a whole span, in lane-width chunks.
 ///
-/// The adaptive kernel folds each LUT row into the shadow accumulator
+/// The adaptive kernel folds each LUT row into a zeroed deposit row
 /// through this helper on both backends; each destination slot receives
 /// exactly one add, so the result is bit-identical to a scalar per-pixel
-/// loop.
+/// loop — and one add per slot is the contract the batched executor's
+/// deposit rows rely on for bit-identical merges.
 #[inline]
 pub fn accumulate(dst: &mut [f32], src: &[f32]) {
     let n = dst.len().min(src.len());

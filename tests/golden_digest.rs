@@ -17,6 +17,13 @@
 //! reproducible run to run, and single-worker batched runs because the
 //! planned fix for that (ROADMAP.md, item 1) changes their accumulation
 //! order.
+//!
+//! A second matrix renders the paper's headline frame (2^13 stars on
+//! 1024², ROI 10 and 16), whose deposits spread over many 8192-value merge
+//! tiles with rows from several SMs in each. Its digests were computed
+//! with the dense per-role shadow merge, before deposits became
+//! tile-bucketed lists merged on every pool lane, so it holds that change
+//! to bit-identical output too.
 
 use gpusim::{Counters, ExecMode, KernelBackend, VirtualGpu};
 use starfield::FieldGenerator;
@@ -186,19 +193,36 @@ fn hash_frame(h: &mut Fnv, r: &SimulationReport) {
     h.u64(r.app_time_s.to_bits());
 }
 
-fn digest(side: usize, phases: usize, backend: KernelBackend, workers: usize) -> u64 {
-    let mut cfg = SimConfig::new(WIDTH, HEIGHT, side);
-    cfg.lut_phases = phases;
+/// The digest of `FRAMES` frames of `stars` stars on a `width`×`height`
+/// image, with `cfg` taken from `SimConfig::new` and then adjusted by
+/// `tweak`.
+fn digest_frames(
+    width: usize,
+    height: usize,
+    stars: usize,
+    side: usize,
+    backend: KernelBackend,
+    workers: usize,
+    tweak: impl FnOnce(&mut SimConfig),
+) -> u64 {
+    let mut cfg = SimConfig::new(width, height, side);
     cfg.backend = backend;
     cfg.exec_mode = ExecMode::Batched;
     cfg.workers = Some(workers);
+    tweak(&mut cfg);
     let session = AdaptiveSession::on(VirtualGpu::gtx480(), cfg).expect("session");
     let mut h = Fnv::new();
     for frame in 0..FRAMES {
-        let catalog = FieldGenerator::new(WIDTH, HEIGHT).generate(STARS, 100 + frame);
+        let catalog = FieldGenerator::new(width, height).generate(stars, 100 + frame);
         hash_frame(&mut h, &session.render(&catalog).expect("render"));
     }
     h.0
+}
+
+fn digest(side: usize, phases: usize, backend: KernelBackend, workers: usize) -> u64 {
+    digest_frames(WIDTH, HEIGHT, STARS, side, backend, workers, |cfg| {
+        cfg.lut_phases = phases
+    })
 }
 
 #[test]
@@ -220,6 +244,54 @@ fn batched_adaptive_frames_match_the_golden_digests() {
         .collect();
     assert!(
         computed[..] == GOLDEN[..],
+        "digests differ from the pinned values; computed:\n{table}"
+    );
+}
+
+/// The paper's headline frame: 2^13 stars on 1024², an image of 128
+/// merge tiles of 8192 values, each holding ROI rows from several SMs.
+const BIG_SIDE: usize = 1024;
+const BIG_STARS: usize = 1 << 13;
+const BIG_SIDES: [usize; 2] = [10, 16];
+
+/// `(side, backend, workers, digest)` at [`BIG_SIDE`]², default phases,
+/// in matrix order.
+const GOLDEN_MULTI_TILE: [(usize, &str, usize, u64); 8] = [
+    (10, "scalar", 2, 0xc74ad77800954a62),
+    (10, "scalar", 15, 0xc74ad77800954a62),
+    (10, "simd", 2, 0xc74ad77800954a62),
+    (10, "simd", 15, 0xc74ad77800954a62),
+    (16, "scalar", 2, 0x7b5c4968940b4a9b),
+    (16, "scalar", 15, 0x7b5c4968940b4a9b),
+    (16, "simd", 2, 0x7b5c4968940b4a9b),
+    (16, "simd", 15, 0x7b5c4968940b4a9b),
+];
+
+#[test]
+fn multi_tile_frames_match_the_golden_digests() {
+    let mut computed = Vec::new();
+    for side in BIG_SIDES {
+        for backend in BACKENDS {
+            for workers in WORKERS {
+                let d = digest_frames(
+                    BIG_SIDE,
+                    BIG_SIDE,
+                    BIG_STARS,
+                    side,
+                    backend,
+                    workers,
+                    |_| {},
+                );
+                computed.push((side, backend.as_str(), workers, d));
+            }
+        }
+    }
+    let table: String = computed
+        .iter()
+        .map(|(s, b, w, d)| format!("    ({s}, {b:?}, {w}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        computed[..] == GOLDEN_MULTI_TILE[..],
         "digests differ from the pinned values; computed:\n{table}"
     );
 }

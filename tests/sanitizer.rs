@@ -269,9 +269,9 @@ fn corpus_reports_are_deterministic_across_worker_counts() {
 
 #[test]
 fn arena_use_after_recycle_is_reported_as_memcheck_finding() {
-    // ShadowCorrupt poisons a recycled shadow buffer mid-merge; the arena
-    // screens (drops) it, and the sanitizer reports the screen as a
-    // use-after-recycle memcheck finding — in *batched* mode, no
+    // ShadowCorrupt poisons a recycled deposit buffer after the merge;
+    // the arena screens (drops) it, and the sanitizer reports the screen
+    // as a use-after-recycle memcheck finding — in *batched* mode, no
     // sanitized execution required.
     let plan = Arc::new(FaultPlan::single(FaultKind::ShadowCorrupt, 0, 0));
     let gpu = VirtualGpu::gtx480()
