@@ -58,10 +58,10 @@ pub struct FrameSequencer {
     /// Shared LUT cache, when attached: pipelined bursts (re)validate the
     /// table off the render critical path and reports carry its counters.
     lut_cache: Option<Arc<LutCache>>,
-    /// The two rotating device images of the pipelined schedule, allocated
-    /// on first use and reused for the sequencer's lifetime — the steady
-    /// state allocates nothing.
-    pipeline_images: Option<[gpusim::GlobalAtomicF32; 2]>,
+    /// The host frame buffer every burst renders into, sized on first use
+    /// and reused for the sequencer's lifetime — the steady state
+    /// allocates nothing.
+    host: Vec<f32>,
 }
 
 impl FrameSequencer {
@@ -95,7 +95,7 @@ impl FrameSequencer {
             session,
             time_s: 0.0,
             lut_cache: None,
-            pipeline_images: None,
+            host: Vec::new(),
         })
     }
 
@@ -134,7 +134,7 @@ impl FrameSequencer {
             session,
             time_s: 0.0,
             lut_cache: None,
-            pipeline_images: None,
+            host: Vec::new(),
         })
     }
 
@@ -268,7 +268,6 @@ impl FrameSequencer {
     /// image allocation) is skipped — one pixel buffer serves all frames.
     pub fn run_frames(&mut self, n: usize) -> Result<ThroughputReport, SimError> {
         assert!(n > 0, "need at least one frame");
-        let mut host = Vec::new();
         let mut totals = BurstTotals::default();
         let mut produce_busy_s = 0.0;
         let mut consume_busy_s = 0.0;
@@ -285,7 +284,7 @@ impl FrameSequencer {
             drop(star_gen);
             produce_busy_s += t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let timing = self.session.render_into(&catalog, &mut host)?;
+            let timing = self.session.render_into(&catalog, &mut self.host)?;
             consume_busy_s += t1.elapsed().as_secs_f64();
             totals.absorb(&timing);
             self.dynamics.step(self.frame_dt);
@@ -298,9 +297,10 @@ impl FrameSequencer {
     /// Renders `n` frames through the frame-pipelined schedule: a scoped
     /// producer thread runs frame `N+1`'s attitude propagation, FOV
     /// retrieval, star generation and star upload while the calling thread
-    /// executes frame `N`'s kernel and download. Two device images rotate
-    /// between in-flight frames (allocated once, on the first pipelined
-    /// burst), so the steady state performs no new allocation.
+    /// executes frame `N`'s kernel and download. The consumer renders each
+    /// frame synchronously on the session's own device image into the
+    /// sequencer's host buffer, so the steady state performs no new
+    /// allocation.
     ///
     /// **Invariant:** the emitted images, device counters and modeled
     /// times are bit-equal to [`Self::run_frames`] for every seed, worker
@@ -327,18 +327,12 @@ impl FrameSequencer {
         mut on_frame: impl FnMut(&PipelinedFrame<'_>),
     ) -> Result<ThroughputReport, SimError> {
         assert!(n > 0, "need at least one frame");
-        if self.pipeline_images.is_none() {
-            self.pipeline_images = Some([
-                self.session.alloc_frame_image(),
-                self.session.alloc_frame_image(),
-            ]);
-        }
         // Let the retry ladder see the burst's token: a deadline expiring
         // mid-retry stops burning attempts at the next between-attempt
         // checkpoint instead of descending the whole ladder first.
         self.session.set_cancel_token(Some(token.clone()));
-        let images = self.pipeline_images.as_ref().expect("just allocated");
         let session = &self.session;
+        let host = &mut self.host;
         let sky = &self.sky;
         let camera = &self.camera;
         let base_config = &self.base_config;
@@ -348,7 +342,6 @@ impl FrameSequencer {
         let start_dynamics = self.dynamics;
         let lut_cache = self.lut_cache.clone();
 
-        let mut host = Vec::new();
         let mut totals = BurstTotals::default();
         let mut consume_busy_s = 0.0;
         let mut completed = 0usize;
@@ -403,8 +396,7 @@ impl FrameSequencer {
             while let Ok(prepared) = rx.recv() {
                 let t0 = Instant::now();
                 let frame_span = maybe_span(session.telemetry(), "frame");
-                let image_dev = &images[completed % 2];
-                match session.render_prepared_into(&prepared, image_dev, &mut host) {
+                match session.render_prepared(&prepared, host) {
                     Ok(timing) => {
                         drop(frame_span);
                         totals.absorb(&timing);
@@ -413,7 +405,7 @@ impl FrameSequencer {
                             index: (time_s / frame_dt).round() as u64,
                             time_s,
                             stars_in_view: prepared.star_count(),
-                            pixels: &host,
+                            pixels: host,
                             timing,
                         };
                         completed += 1;
@@ -422,10 +414,6 @@ impl FrameSequencer {
                     }
                     Err(e) => {
                         drop(frame_span);
-                        // A failed attempt may have left partial deposits
-                        // in the rotating image; zero it so a later burst
-                        // resumes from a clean device state.
-                        image_dev.fill_zero();
                         consume_busy_s += t0.elapsed().as_secs_f64();
                         error = Some(e);
                         break;
@@ -666,9 +654,9 @@ pub struct OverlapReport {
 }
 
 /// One frame as observed in flight by
-/// [`FrameSequencer::run_frames_pipelined_observed`]. Borrows the burst's
-/// rotating host buffer: the pixels are valid for the callback's duration
-/// only.
+/// [`FrameSequencer::run_frames_pipelined_observed`]. Borrows the
+/// sequencer's host buffer: the pixels are valid for the callback's
+/// duration only.
 #[derive(Debug)]
 pub struct PipelinedFrame<'a> {
     /// Frame number since the sequencer started.

@@ -505,9 +505,11 @@ pub struct AdaptiveSession {
     lut_tex: Texture,
     /// Whether the table came from a [`LutCache`] hit at setup.
     lut_cache_hit: bool,
-    /// Persistent device image: each frame's download zeroes it in the
-    /// same pass (`download_take`), so it is reused — never reallocated —
-    /// across the session's lifetime.
+    /// Persistent device image, zero between frames: a batched frame's
+    /// merge writes the host buffer and leaves it untouched, a frame that
+    /// lands in it is downloaded by a transfer that zeroes it, and a failed
+    /// attempt zeroes it ([`VirtualGpu::launch_into_host`]). Reused, never
+    /// reallocated, across the session's lifetime.
     image_dev: gpusim::GlobalAtomicF32,
     /// One-time setup cost (LUT build + upload + bind), seconds.
     setup_time_s: f64,
@@ -879,19 +881,22 @@ impl AdaptiveSession {
     }
 
     /// Mode/rung selection and the kernel launch itself, against an
-    /// already-uploaded star buffer.
+    /// already-uploaded star buffer, rendering into `image_dev` for `host`
+    /// ([`VirtualGpu::launch_into_host`]); the frame's transfer step is
+    /// returned for the caller to finish.
     ///
     /// `rung` selects the degradation level: [`Rung::ReferenceExec`] and
     /// below force the reference executor, and [`Rung::DirectPsf`] swaps
     /// the LUT fetch kernel for the direct-PSF star-centric kernel (the
     /// last-resort fallback — numerically close, not bit-identical).
-    fn launch_kernel(
-        &self,
+    fn launch_kernel<'a>(
+        &'a self,
         stars: &GlobalBuffer<DeviceStar>,
         star_count: usize,
-        image_dev: &gpusim::GlobalAtomicF32,
+        image_dev: &'a gpusim::GlobalAtomicF32,
+        host: &'a mut Vec<f32>,
         rung: Rung,
-    ) -> Result<gpusim::KernelProfile, SimError> {
+    ) -> Result<(gpusim::KernelProfile, gpusim::FrameDownload<'a>), SimError> {
         let config = &self.config;
         let _launch_span = maybe_span(self.telemetry.as_ref(), "kernel-launch");
 
@@ -907,7 +912,7 @@ impl AdaptiveSession {
         let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, self.gpu.spec())
             .with_shared_mem(3 * 4)
             .with_backend(config.backend);
-        let profile = if rung == Rung::DirectPsf {
+        let launched = if rung == Rung::DirectPsf {
             let kernel = StarCentricKernel {
                 stars,
                 image: image_dev,
@@ -918,8 +923,14 @@ impl AdaptiveSession {
                 psf: config.psf_model(),
                 a_factor: config.a_factor,
             };
-            self.gpu
-                .launch_mode("star-centric-fallback", &kernel, cfg, mode)?
+            self.gpu.launch_into_host(
+                "star-centric-fallback",
+                &kernel,
+                cfg,
+                mode,
+                image_dev,
+                host,
+            )?
         } else {
             let kernel = AdaptiveKernel {
                 stars,
@@ -931,9 +942,10 @@ impl AdaptiveSession {
                 height: config.height,
                 roi: Roi::new(config.roi_side),
             };
-            self.gpu.launch_mode("adaptive-lut", &kernel, cfg, mode)?
+            self.gpu
+                .launch_into_host("adaptive-lut", &kernel, cfg, mode, image_dev, host)?
         };
-        Ok(profile)
+        Ok(launched)
     }
 
     /// Renders one frame. Unlike the one-shot [`AdaptiveSimulator`]
@@ -988,12 +1000,10 @@ impl AdaptiveSession {
         Ok(frame.timing())
     }
 
-    /// A fresh zeroed device image sized for this session's frames.
-    ///
-    /// The pipelined frame loop allocates two of these once and rotates
-    /// them across frames (frame N downloading while frame N+1's stars
-    /// stage), so its steady state allocates nothing — the same contract
-    /// as the session's own persistent image.
+    /// A fresh zeroed device image sized for this session's frames, for
+    /// callers of [`Self::render_prepared_into`] that keep their own. Like
+    /// the session's persistent image it stays zero between frames, so one
+    /// serves every frame.
     pub fn alloc_frame_image(&self) -> gpusim::GlobalAtomicF32 {
         self.gpu.alloc_atomic_f32(self.config.pixels())
     }
@@ -1018,17 +1028,17 @@ impl AdaptiveSession {
     }
 
     /// Renders one frame from stars staged by [`Self::prepare_stars`] into
-    /// `image_dev` (one of the pipeline's two rotating device images),
-    /// draining the result into `host` — the consumer half of the
-    /// pipelined frame loop.
+    /// `image_dev` (a zeroed image from [`Self::alloc_frame_image`]), with
+    /// the result in `host` — the consumer half of the pipelined frame
+    /// loop.
     ///
     /// Pixels, counters, and modeled times are bit-identical to
     /// [`Self::render_into`] on the same catalog: the staged upload is the
     /// same bytes, the upload-fault consult happens here in launch order,
     /// and the frame runs through the same attempt and retry ladder;
-    /// retries re-launch from the retained staged buffer after zeroing
-    /// `image_dev`, so recovery on rungs 0–1 is bit-identical just as in
-    /// the sequential loop.
+    /// retries re-launch from the retained staged buffer, and a failed
+    /// attempt zeroes `image_dev`, so recovery on rungs 0–1 is
+    /// bit-identical just as in the sequential loop.
     pub fn render_prepared_into(
         &self,
         prepared: &PreparedStars,
@@ -1037,6 +1047,15 @@ impl AdaptiveSession {
     ) -> Result<FrameTiming, SimError> {
         let frame = self.render_frame(FrameStars::Prepared(prepared), image_dev, host)?;
         Ok(frame.timing())
+    }
+
+    /// [`Self::render_prepared_into`] on the session's own device image.
+    pub(crate) fn render_prepared(
+        &self,
+        prepared: &PreparedStars,
+        host: &mut Vec<f32>,
+    ) -> Result<FrameTiming, SimError> {
+        self.render_prepared_into(prepared, &self.image_dev, host)
     }
 
     /// The one frame path behind every render entry point: a single
@@ -1060,15 +1079,7 @@ impl AdaptiveSession {
                     &mut stats,
                     start,
                     self.cancel_token.as_ref(),
-                    |rung| {
-                        if rung != start {
-                            // A failed attempt may have deposited partial
-                            // results into the device image; the retry
-                            // must start from zero to stay bit-identical.
-                            image_dev.fill_zero();
-                        }
-                        self.attempt(stars, image_dev, host, rung)
-                    },
+                    |rung| self.attempt(stars, image_dev, host, rung),
                 )
             }
         };
@@ -1080,7 +1091,11 @@ impl AdaptiveSession {
     }
 
     /// One attempt of a frame at `rung`: sets the dispatch override, takes
-    /// the stars, launches against `image_dev` and drains it into `host`.
+    /// the stars, launches against `image_dev` and finishes the frame's
+    /// transfer into `host`. A failed attempt may have left partial
+    /// deposits in `image_dev`; it is zeroed before the error returns, so
+    /// every attempt — a retry at any rung, the shed floor's included, or
+    /// the next frame — starts from a zero image.
     fn attempt(
         &self,
         stars: FrameStars<'_>,
@@ -1119,9 +1134,10 @@ impl AdaptiveSession {
                 .gpu
                 .transfer_model()
                 .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
-            let kernel = self.launch_kernel(buffer, star_count, image_dev, rung)?;
+            let (kernel, download) =
+                self.launch_kernel(buffer, star_count, image_dev, host, rung)?;
             let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-            let t_down = self.gpu.try_download_take(image_dev, host)?;
+            let t_down = download.finish()?;
             Ok(FrameAttempt {
                 kernel,
                 t_stars,
@@ -1132,6 +1148,9 @@ impl AdaptiveSession {
         })();
         if spawn {
             self.gpu.set_dispatch_override(false);
+        }
+        if result.is_err() {
+            image_dev.fill_zero();
         }
         result
     }
@@ -1598,6 +1617,50 @@ mod tests {
             assert_eq!(report.rung_frames, [0, 1, 0, 0]);
             assert_eq!(report.frames, 1);
             assert_eq!(report.exhausted, 0);
+        }
+
+        /// `Rung::DirectPsf` has no next rung, so a session shed to that
+        /// floor retries at the same rung; its reference-mode launches add
+        /// straight into the device image, which must be zero again before
+        /// the retry — and, without a policy, before the next frame.
+        #[test]
+        fn failed_attempts_at_the_direct_psf_floor_leave_a_zero_image() {
+            let cat = FieldGenerator::new(128, 128).generate(150, 5);
+            let gpu = || VirtualGpu::gtx480().with_workers(4);
+            let image = |pixels: &[f32]| ImageF32::from_data(128, 128, pixels.to_vec());
+            let clean = AdaptiveSession::on(gpu(), cfg()).unwrap();
+            clean.set_shed_floor(Rung::DirectPsf);
+            let mut expected = Vec::new();
+            clean.render_into(&cat, &mut expected).unwrap();
+            // Reference-mode deposits race at four workers, so pixels may
+            // differ from the clean run by an ulp: compare with a tolerance.
+            let close = |host: &[f32]| images_close(&image(&expected), &image(host), 1e-5, 1e-5);
+            for kind in [FaultKind::TransferCorrupt, FaultKind::WorkerPanic] {
+                let plan = Arc::new(FaultPlan::single(kind, 0, 2));
+                let session =
+                    AdaptiveSession::builder(gpu().with_fault_plan(Arc::clone(&plan)), cfg())
+                        .retry(fast_retry())
+                        .open()
+                        .unwrap();
+                session.set_shed_floor(Rung::DirectPsf);
+                let mut host = Vec::new();
+                session.render_into(&cat, &mut host).unwrap();
+                assert_eq!(session.resilience_report().retries, 1, "{kind:?}");
+                assert!(close(&host), "{kind:?}: the retry must start from zero");
+
+                let session = AdaptiveSession::on(
+                    gpu().with_fault_plan(Arc::new(FaultPlan::single(kind, 0, 2))),
+                    cfg(),
+                )
+                .unwrap();
+                session.set_shed_floor(Rung::DirectPsf);
+                assert!(session.render_into(&cat, &mut host).is_err(), "{kind:?}");
+                session.render_into(&cat, &mut host).unwrap();
+                assert!(
+                    close(&host),
+                    "{kind:?}: the next frame must start from zero"
+                );
+            }
         }
 
         #[test]

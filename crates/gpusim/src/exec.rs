@@ -20,7 +20,8 @@ use crate::dim::Dim3;
 use crate::error::GpuError;
 use crate::fault::{ArmedFaults, FaultKind, FaultPlan};
 use crate::kernel::{
-    merge_band_pooled, BlockCtx, BufferArena, Event, Kernel, RoleDeposits, ShadowSet, ThreadCtx,
+    host_bands, merge_band_pooled, BlockCtx, BufferArena, Event, Kernel, RoleDeposits, ShadowSet,
+    ThreadCtx, MERGE_TILE,
 };
 use crate::launch::LaunchConfig;
 use crate::memory::cache::CacheSim;
@@ -68,7 +69,7 @@ impl LaunchStamps {
 /// Values per transfer-verification chunk (16 KiB of `f32`): coarse enough
 /// that the checksum pass is a small fraction of the copy it guards, fine
 /// enough that a corruption report localizes the damage.
-const TRANSFER_CHUNK: usize = 4096;
+pub(crate) const TRANSFER_CHUNK: usize = 4096;
 
 /// How the executor runs a launch on the host.
 ///
@@ -551,14 +552,6 @@ impl VirtualGpu {
         Ok(())
     }
 
-    /// Whether downloads verify per-chunk checksums (a fault plan with
-    /// transfer faults is attached). The pipelined frame loop degrades to
-    /// synchronous downloads when this holds, so injected transfer faults
-    /// keep their sequential launch coordinates.
-    pub fn verifies_transfers(&self) -> bool {
-        self.fault.as_deref().is_some_and(|p| p.verify_transfers())
-    }
-
     /// Allocates a zero-filled atomic f32 device buffer (e.g. the output
     /// image; zeroing is a `cudaMemset`, modeled as free).
     pub fn alloc_atomic_f32(&self, len: usize) -> GlobalAtomicF32 {
@@ -575,30 +568,7 @@ impl VirtualGpu {
     /// Downloads an atomic device buffer to the host; returns the data and
     /// the modeled device→host copy time.
     pub fn download(&self, buf: &GlobalAtomicF32) -> (Vec<f32>, f64) {
-        let t = self
-            .transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes());
-        (buf.to_host(), t)
-    }
-
-    /// Downloads an atomic device buffer into a caller-owned vector
-    /// (resized, not reallocated when capacity suffices); returns the
-    /// modeled device→host copy time. The frame loop's allocation-free
-    /// download path.
-    pub fn download_into(&self, buf: &GlobalAtomicF32, out: &mut Vec<f32>) -> f64 {
-        buf.to_host_into(out);
-        self.transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes())
-    }
-
-    /// Downloads an atomic device buffer into `out` and zeroes the device
-    /// buffer in the same pass, so a persistent device image can serve the
-    /// next frame without reallocating (`cudaMemset` is modeled as free, so
-    /// the modeled copy time equals [`Self::download_into`]).
-    pub fn download_take(&self, buf: &GlobalAtomicF32, out: &mut Vec<f32>) -> f64 {
-        buf.take_to_host(out);
-        self.transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes())
+        (buf.to_host(), self.d2h_time(buf))
     }
 
     /// [`Self::download`] through the fault plan and (when the plan demands
@@ -609,32 +579,33 @@ impl VirtualGpu {
         Ok((out, t))
     }
 
-    /// [`Self::download_take`] with verification. Unlike the infallible
-    /// path, the device buffer is zeroed only *after* the checksums pass —
-    /// a corrupted transfer must leave the device data intact for the
-    /// retry.
-    pub fn try_download_take(
-        &self,
-        buf: &GlobalAtomicF32,
-        out: &mut Vec<f32>,
-    ) -> Result<f64, GpuError> {
-        self.verified_download(buf, out, true)
+    /// The modeled device→host copy time of `buf` — the whole buffer,
+    /// however the host side of the copy is carried out.
+    fn d2h_time(&self, buf: &GlobalAtomicF32) -> f64 {
+        self.transfer
+            .time(MemcpyKind::DeviceToHost, buf.size_bytes())
     }
 
-    /// Shared verified-download path. Verification only runs when the fault
-    /// plan contains transfer faults ([`FaultPlan::verify_transfers`]), so
-    /// `FaultPlan::none()` downloads at full speed.
+    /// The fault plan, when it asks for transfers to be verified.
+    fn transfer_plan(&self) -> Option<&FaultPlan> {
+        self.fault.as_deref().filter(|p| p.verify_transfers())
+    }
+
+    /// Shared verified-download path; `take` also zeroes the device buffer
+    /// once the copy is known good, so a persistent device image can serve
+    /// the next frame without reallocating (`cudaMemset` is modeled as
+    /// free). Verification only runs when the fault plan contains transfer
+    /// faults ([`FaultPlan::verify_transfers`]), so `FaultPlan::none()`
+    /// downloads at full speed. A failed check leaves the device data
+    /// intact.
     fn verified_download(
         &self,
         buf: &GlobalAtomicF32,
         out: &mut Vec<f32>,
         take: bool,
     ) -> Result<f64, GpuError> {
-        let t = self
-            .transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes());
-        let plan = self.fault.as_deref().filter(|p| p.verify_transfers());
-        let Some(plan) = plan else {
+        let t = self.d2h_time(buf);
+        let Some(plan) = self.transfer_plan() else {
             if take {
                 buf.take_to_host(out);
             } else {
@@ -644,9 +615,25 @@ impl VirtualGpu {
         };
         let device_sums = buf.chunk_checksums(TRANSFER_CHUNK);
         buf.to_host_into(out);
-        // Injected corruption: flip one mantissa bit in the chunk the spec
-        // names, after the copy but before verification — exactly where a
-        // real in-flight corruption would land.
+        self.check_transfer(plan, &device_sums, out)?;
+        if take {
+            buf.fill_zero();
+        }
+        Ok(t)
+    }
+
+    /// The verification step of a transfer whose device side checksummed
+    /// to `device_sums`: injects the plan's corruption for the last launch
+    /// — one flipped mantissa bit in the chunk the spec names, after the
+    /// copy but before verification, exactly where a real in-flight
+    /// corruption would land — then compares the host copy chunk by
+    /// chunk.
+    fn check_transfer(
+        &self,
+        plan: &FaultPlan,
+        device_sums: &[u64],
+        out: &mut [f32],
+    ) -> Result<(), GpuError> {
         if let Some(spec) = plan
             .completed_launch()
             .and_then(|l| plan.take(FaultKind::TransferCorrupt, l))
@@ -661,10 +648,7 @@ impl VirtualGpu {
             self.checksum_catches.fetch_add(1, Ordering::Relaxed);
             return Err(GpuError::TransferCorrupted { chunk });
         }
-        if take {
-            buf.fill_zero();
-        }
-        Ok(t)
+        Ok(())
     }
 
     /// Binds a layered 2-D texture: models the upload plus the bind call.
@@ -758,6 +742,74 @@ impl VirtualGpu {
         cfg: LaunchConfig,
         mode: ExecMode,
     ) -> Result<KernelProfile, GpuError> {
+        Ok(self.launch_bound(name, kernel, cfg, mode, None)?.0)
+    }
+
+    /// Launches a kernel that renders into `image` and hands the frame to
+    /// `host` (resized to the image's length): the frame loop's one launch
+    /// entry point. The returned [`FrameDownload`] is the transfer step;
+    /// the frame is complete on the host once
+    /// [`FrameDownload::finish`] succeeds.
+    ///
+    /// An [`ExecMode::Batched`] launch whose blocks all ran their
+    /// [`Kernel::run_block`] fast path writes the frame straight into
+    /// `host`: each merge lane sets its tiles of the image to `+0.0` and
+    /// adds the roles' folds into them — the chain of adds a zeroed device
+    /// image sees, so the pixels are bit-identical to a launch followed by
+    /// a download — and `image` itself is never written. When the plan
+    /// verifies transfers, the lanes also checksum the chunks they write.
+    ///
+    /// Three cases leave the frame in `image` instead and finish with the
+    /// verified download that zeroes it again: [`ExecMode::Reference`] and
+    /// [`ExecMode::Sanitized`] launches (their threads add into the device
+    /// image directly), and a batched launch in which any block fell back
+    /// to the per-thread path.
+    ///
+    /// `image` must hold zeros when the launch starts — as allocated, and
+    /// as every successful `launch_into_host` leaves it. After a failed
+    /// launch or transfer it may hold partial deposits; zero it
+    /// ([`GlobalAtomicF32::fill_zero`]) before the next one.
+    pub fn launch_into_host<'a, K: Kernel>(
+        &'a self,
+        name: &str,
+        kernel: &K,
+        cfg: LaunchConfig,
+        mode: ExecMode,
+        image: &'a GlobalAtomicF32,
+        host: &'a mut Vec<f32>,
+    ) -> Result<(KernelProfile, FrameDownload<'a>), GpuError> {
+        host.resize(image.len(), 0.0);
+        let chunks = match self.transfer_plan() {
+            Some(_) => image.len().div_ceil(TRANSFER_CHUNK),
+            None => 0,
+        };
+        let mut sums = vec![0u64; chunks];
+        let bound = (mode == ExecMode::Batched).then(|| HostBound {
+            image,
+            host: host.as_mut_slice(),
+            sums: &mut sums,
+        });
+        let (profile, on_host) = self.launch_bound(name, kernel, cfg, mode, bound)?;
+        let download = FrameDownload {
+            gpu: self,
+            image,
+            host,
+            written: on_host.then_some(sums),
+        };
+        Ok((profile, download))
+    }
+
+    /// The one launch path: `bound` carries a host-bound image for a
+    /// batched launch; the flag returned says whether the frame landed in
+    /// its host buffer.
+    fn launch_bound<K: Kernel>(
+        &self,
+        name: &str,
+        kernel: &K,
+        cfg: LaunchConfig,
+        mode: ExecMode,
+        bound: Option<HostBound<'_>>,
+    ) -> Result<(KernelProfile, bool), GpuError> {
         cfg.validate(&self.spec)?;
         let occ = occupancy(&self.spec, &cfg);
         let trace_start = self.telemetry.as_ref().map(|_| now_us());
@@ -802,14 +854,16 @@ impl VirtualGpu {
                 cache.lock().unwrap_or_else(|e| e.into_inner()).reset();
             }
             match mode {
-                ExecMode::Reference => self.execute_reference(kernel, &cfg, armed, stamps_ref),
-                ExecMode::Batched => self.execute_batched(kernel, &cfg, armed, stamps_ref),
-                ExecMode::Sanitized => {
-                    self.execute_sanitized(name, launch_id, kernel, &cfg, armed, stamps_ref)
-                }
+                ExecMode::Reference => self
+                    .execute_reference(kernel, &cfg, armed, stamps_ref)
+                    .map(|c| (c, false)),
+                ExecMode::Batched => self.execute_batched(kernel, &cfg, armed, stamps_ref, bound),
+                ExecMode::Sanitized => self
+                    .execute_sanitized(name, launch_id, kernel, &cfg, armed, stamps_ref)
+                    .map(|c| (c, false)),
             }
         }));
-        let counters = match executed {
+        let (counters, on_host) = match executed {
             Ok(result) => result?,
             Err(payload) => {
                 self.panics_caught.fetch_add(1, Ordering::Relaxed);
@@ -873,7 +927,7 @@ impl VirtualGpu {
         if let Some(sink) = &self.utilization {
             sink.record(&profile);
         }
-        Ok(profile)
+        Ok((profile, on_host))
     }
 
     /// Converts a pool timeout into the device-level error, counting it.
@@ -1102,13 +1156,20 @@ impl VirtualGpu {
     /// starts at zero, so merging the one fold is the same chain), which
     /// keeps the one-worker image equal to `Reference`'s bit for bit — a
     /// guarantee per-role grouping cannot give.
+    ///
+    /// With `bound`, its image is registered as target slot 0 before
+    /// dispatch, and unless some block fell back to the per-thread path
+    /// (whose adds land in the device image) the merge writes every tile of
+    /// it into the host buffer instead ([`crate::kernel::merge_band`]); the
+    /// flag returned says which happened.
     fn execute_batched<'k, K: Kernel>(
         &'k self,
         kernel: &'k K,
         cfg: &LaunchConfig,
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
-    ) -> Result<Counters, GpuError> {
+        bound: Option<HostBound<'k>>,
+    ) -> Result<(Counters, bool), GpuError> {
         let sm_count = self.spec.sm_count as usize;
         let total_blocks = cfg.total_blocks();
         let sms = sm_count.min(total_blocks);
@@ -1123,9 +1184,13 @@ impl VirtualGpu {
         let counter_slots: Vec<Mutex<Counters>> = (0..workers)
             .map(|_| Mutex::new(Counters::default()))
             .collect();
-        // Target buffers registered by sealing, in first-sight order;
-        // sealed deposits refer to them by slot index.
-        let targets: Mutex<Vec<&'k GlobalAtomicF32>> = Mutex::new(Vec::new());
+        // Target buffers registered by sealing, in first-sight order after
+        // a host-bound image; sealed deposits refer to them by slot index.
+        let targets: Mutex<Vec<&'k GlobalAtomicF32>> =
+            Mutex::new(bound.as_ref().map(|b| b.image).into_iter().collect());
+        // Set by any block that runs on the per-thread path; read after the
+        // join, which orders it.
+        let fell_back = AtomicBool::new(false);
         // One sealed deposit set per role, recycled (with their capacity)
         // across launches so the steady-state frame loop stays
         // allocation-free.
@@ -1170,6 +1235,7 @@ impl VirtualGpu {
                         backend: cfg.backend,
                     };
                     if !kernel.run_block(&mut bctx) {
+                        fell_back.store(true, Ordering::Relaxed);
                         self.run_block_reference(
                             kernel,
                             cfg,
@@ -1220,11 +1286,29 @@ impl VirtualGpu {
                 .seal_into(&targets, out);
         }
         let targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
+        let sealed_any = deposits.iter().any(|d| !d.is_empty());
         // Lanes own disjoint tile ranges, so the plain read-modify-write
-        // in `merge_drain_range` is race-free.
+        // in `merge_drain_range` is race-free, and each lane writes only
+        // its own share of a host-bound image.
         let lanes = self.pool_lanes();
+        let host = bound
+            .filter(|_| !fell_back.load(Ordering::Relaxed))
+            .map(|b| {
+                let total = targets.iter().map(|t| t.len().div_ceil(MERGE_TILE)).sum();
+                host_bands(b.host, b.sums, total, lanes)
+            });
         self.dispatch_static(lanes, lanes, None, |band, _| {
-            merge_band_pooled(&self.arena, &deposits, &targets, band, lanes);
+            let mut share = host
+                .as_ref()
+                .map(|h| h[band].lock().unwrap_or_else(|e| e.into_inner()));
+            merge_band_pooled(
+                &self.arena,
+                &deposits,
+                &targets,
+                band,
+                lanes,
+                share.as_deref_mut(),
+            );
         })?;
         {
             let mut pool = self.deposits_pool.lock().unwrap_or_else(|e| e.into_inner());
@@ -1238,7 +1322,7 @@ impl VirtualGpu {
         // Injected shadow corruption: poison one drained buffer on its way
         // back to the arena, which must screen (drop) it instead of
         // recycling it into a future frame.
-        if armed.is_some_and(|a| a.shadow_corrupt) && !targets.is_empty() {
+        if armed.is_some_and(|a| a.shadow_corrupt) && sealed_any {
             let mut list = self.arena.take();
             list.poison();
             self.arena.put(list);
@@ -1247,7 +1331,7 @@ impl VirtualGpu {
         if let Some(s) = stamps {
             s.merge_end.set(now_us());
         }
-        Ok(counters)
+        Ok((counters, host.is_some()))
     }
 
     /// Executes one block on the reference path: all phases, warp by warp.
@@ -1388,6 +1472,53 @@ impl VirtualGpu {
 impl Default for VirtualGpu {
     fn default() -> Self {
         VirtualGpu::gtx480()
+    }
+}
+
+/// The host destination of a batched launch from
+/// [`VirtualGpu::launch_into_host`]: the device image it stands in for,
+/// its host buffer, and the chunk checksums the merge lanes record (empty
+/// when transfers are not verified).
+struct HostBound<'h> {
+    image: &'h GlobalAtomicF32,
+    host: &'h mut [f32],
+    sums: &'h mut [u64],
+}
+
+/// The transfer step of a [`VirtualGpu::launch_into_host`] launch.
+#[must_use = "the frame is on the host only once `finish` succeeds"]
+#[derive(Debug)]
+pub struct FrameDownload<'a> {
+    gpu: &'a VirtualGpu,
+    image: &'a GlobalAtomicF32,
+    host: &'a mut Vec<f32>,
+    /// `Some`: the merge lanes wrote the frame into `host` (with the chunk
+    /// checksums they recorded, when transfers are verified); `None`: the
+    /// frame is still in `image`.
+    written: Option<Vec<u64>>,
+}
+
+impl FrameDownload<'_> {
+    /// Completes the frame's device→host transfer and returns its modeled
+    /// time — always the full image, [`TransferModel`] unchanged.
+    ///
+    /// A frame still in the device image is downloaded into the host
+    /// buffer, which zeroes the device image. For a frame the merge lanes
+    /// already wrote, this is only the transfer's verification: when the
+    /// fault plan verifies transfers, its injected corruption lands in the
+    /// host buffer at the same index as on the download path, and the host
+    /// chunks are compared against the checksums the lanes recorded.
+    /// Either way a mismatch fails with [`GpuError::TransferCorrupted`]
+    /// naming the same chunk, and counts in
+    /// [`GpuDiagnostics::checksum_catches`].
+    pub fn finish(self) -> Result<f64, GpuError> {
+        let Some(sums) = self.written else {
+            return self.gpu.verified_download(self.image, self.host, true);
+        };
+        if let Some(plan) = self.gpu.transfer_plan() {
+            self.gpu.check_transfer(plan, &sums, self.host)?;
+        }
+        Ok(self.gpu.d2h_time(self.image))
     }
 }
 
@@ -1724,26 +1855,6 @@ mod tests {
     }
 
     #[test]
-    fn download_into_and_take_reuse_host_buffer() {
-        let gpu = VirtualGpu::gtx480();
-        let (buf, _) = gpu.upload_atomic_f32(&[1.0, 2.0, 3.0]);
-        let mut host = Vec::new();
-        let t = gpu.download_into(&buf, &mut host);
-        assert_eq!(host, vec![1.0, 2.0, 3.0]);
-        assert_eq!(t, gpu.download(&buf).1);
-        let cap = host.capacity();
-        let t = gpu.download_take(&buf, &mut host);
-        assert_eq!(host, vec![1.0, 2.0, 3.0]);
-        assert_eq!(host.capacity(), cap, "no reallocation on reuse");
-        assert!(t > 0.0);
-        assert_eq!(
-            gpu.download(&buf).0,
-            vec![0.0; 3],
-            "take must zero the device buffer"
-        );
-    }
-
-    #[test]
     fn workers_clamped_to_sm_count() {
         let gpu = VirtualGpu::gtx480().with_workers(1000);
         assert_eq!(gpu.workers, gpu.spec().sm_count as usize);
@@ -1858,6 +1969,77 @@ mod tests {
         // re-downloading (fault spent) recovers the exact frame.
         let (host, _) = gpu.try_download(&y).expect("second download is clean");
         assert_eq!(host, expected);
+    }
+
+    /// One deposit per element, `y[i] += fill_value(i)`, on both paths:
+    /// `run_block` makes the thread path's deposits through the block's
+    /// deposit list, so a batched host-bound launch writes the host buffer.
+    struct Fill<'a> {
+        y: &'a GlobalAtomicF32,
+    }
+
+    fn fill_value(i: usize) -> f32 {
+        (i % 97) as f32 * 0.25
+    }
+
+    impl Kernel for Fill<'_> {
+        fn run(&self, _phase: usize, ctx: &mut ThreadCtx<'_>) {
+            let i = ctx.block_linear() * ctx.block_dim.count() + ctx.thread_linear();
+            if i < self.y.len() {
+                ctx.atomic_add_global(self.y, i, fill_value(i));
+            }
+        }
+
+        fn run_block<'k>(&'k self, ctx: &mut BlockCtx<'k, '_>) -> bool {
+            let n = ctx.block_dim.count();
+            let start = ctx.block_linear() * n;
+            let acc = ctx.shadow.accumulator(self.y);
+            for i in start..(start + n).min(self.y.len()) {
+                acc.add(i, fill_value(i));
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn host_bound_transfer_corruption_is_caught_in_the_download_paths_chunk() {
+        let n = 3 * MERGE_TILE + 100;
+        let cfg = LaunchConfig::new(n.div_ceil(128) as u32, 128u32);
+        let expected: Vec<f32> = (0..n).map(fill_value).collect();
+        let run = |mode: ExecMode| {
+            let gpu = VirtualGpu::gtx480()
+                .with_workers(4)
+                .with_fault_plan(Arc::new(FaultPlan::single(
+                    FaultKind::TransferCorrupt,
+                    0,
+                    5,
+                )));
+            let y = gpu.alloc_atomic_f32(n);
+            let mut host = Vec::new();
+            let (_, download) = gpu
+                .launch_into_host("fill", &Fill { y: &y }, cfg, mode, &y, &mut host)
+                .unwrap();
+            let on_host = download.written.is_some();
+            let err = download.finish().expect_err("checksum must catch the flip");
+            assert_eq!(gpu.diagnostics().checksum_catches, 1);
+            // The fault is spent: a relaunch recovers the exact frame.
+            y.fill_zero();
+            let (_, download) = gpu
+                .launch_into_host("fill", &Fill { y: &y }, cfg, mode, &y, &mut host)
+                .unwrap();
+            download.finish().expect("second transfer is clean");
+            assert_eq!(host, expected, "{mode:?}");
+            (err, on_host)
+        };
+        let (fused, on_host) = run(ExecMode::Batched);
+        assert!(on_host, "the batched launch must write the host buffer");
+        let (device, on_host) = run(ExecMode::Reference);
+        assert!(!on_host, "the reference launch must keep the device image");
+        assert!(
+            matches!(fused, GpuError::TransferCorrupted { chunk: 5 }),
+            "got {fused:?}"
+        );
+        assert_eq!(format!("{fused:?}"), format!("{device:?}"));
     }
 
     #[test]

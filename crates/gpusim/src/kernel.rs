@@ -17,8 +17,9 @@
 use crate::counters::{Counters, FlopClass};
 use crate::device::DeviceSpec;
 use crate::dim::Dim3;
+use crate::exec::TRANSFER_CHUNK;
 use crate::memory::cache::CacheSim;
-use crate::memory::global::{GlobalAtomicF32, GlobalBuffer};
+use crate::memory::global::{chunk_checksum, GlobalAtomicF32, GlobalBuffer};
 use crate::memory::shared::SharedMem;
 use crate::memory::texture::Texture;
 use crate::sanitize::{LaneHooks, MemSpace};
@@ -195,6 +196,9 @@ impl BlockCtx<'_, '_> {
 /// folds a tile's deposits in a scratch of this size, small enough to stay
 /// in a core's L1 data cache.
 pub(crate) const MERGE_TILE: usize = 8192;
+
+// A host-bound merge records whole transfer chunks per tile.
+const _: () = assert!(MERGE_TILE.is_multiple_of(TRANSFER_CHUNK));
 
 /// A recycling pool of deposit buffers (see [`DepositList`]).
 ///
@@ -380,6 +384,11 @@ pub(crate) struct RoleDeposits {
 }
 
 impl RoleDeposits {
+    /// Whether the role sealed no deposit list.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
     /// Empties the lists, keeping their capacity.
     pub(crate) fn clear(&mut self) {
         self.parts.clear();
@@ -456,6 +465,71 @@ impl RoleDeposits {
     }
 }
 
+/// The merge tiles `[lo, hi)` that band `band` of `bands` owns out of
+/// `total` — every target's tiles concatenated in slot order.
+#[inline]
+fn band_tiles(total: usize, band: usize, bands: usize) -> (usize, usize) {
+    (total * band / bands, total * (band + 1) / bands)
+}
+
+/// One merge lane's share of a host-bound image (target slot 0): host
+/// values `[start, start + vals.len())`, and — when transfers are verified
+/// — one checksum per [`TRANSFER_CHUNK`] of them (`sums` is empty
+/// otherwise).
+#[derive(Debug)]
+pub(crate) struct HostBand<'h> {
+    start: usize,
+    vals: &'h mut [f32],
+    sums: &'h mut [u64],
+}
+
+/// Cuts `host` (the slot-0 image of a `total`-tile target table) and its
+/// chunk checksums `sums` (empty when unverified) into the disjoint shares
+/// the `bands` merge lanes own, in band order.
+pub(crate) fn host_bands<'h>(
+    mut host: &'h mut [f32],
+    mut sums: &'h mut [u64],
+    total: usize,
+    bands: usize,
+) -> Vec<Mutex<HostBand<'h>>> {
+    let (len, tiles) = (host.len(), host.len().div_ceil(MERGE_TILE));
+    let mut taken = 0usize;
+    (0..bands)
+        .map(|band| {
+            let hi = band_tiles(total, band, bands).1.min(tiles);
+            let end = (hi * MERGE_TILE).min(len);
+            let (vals, rest) = std::mem::take(&mut host).split_at_mut(end - taken);
+            host = rest;
+            let n_sums = if sums.is_empty() {
+                0
+            } else {
+                end.div_ceil(TRANSFER_CHUNK) - taken.div_ceil(TRANSFER_CHUNK)
+            };
+            let (band_sums, rest) = std::mem::take(&mut sums).split_at_mut(n_sums);
+            sums = rest;
+            let start = std::mem::replace(&mut taken, end);
+            Mutex::new(HostBand {
+                start,
+                vals,
+                sums: band_sums,
+            })
+        })
+        .collect()
+}
+
+/// `dst[i] += vals[i]` for every non-zero `vals[i]`, which is then zeroed —
+/// the host twin of [`GlobalAtomicF32::merge_drain_range`], same chain of
+/// adds.
+#[inline]
+fn drain_into(dst: &mut [f32], vals: &mut [f32]) {
+    for (d, v) in dst.iter_mut().zip(vals) {
+        if *v != 0.0 {
+            *d += *v;
+            *v = 0.0;
+        }
+    }
+}
+
 /// Merges band `band` of `bands` — a contiguous range of the merge tiles
 /// of every target, in slot order — of the roles' sealed deposits into the
 /// targets, using `scratch` (one all-zero tile, left all-zero).
@@ -469,21 +543,38 @@ impl RoleDeposits {
 /// non-negative `x`, and accumulated intensities are non-negative. The
 /// work is proportional to the deposits: a tile no role deposits into is
 /// never read.
+///
+/// With `host` (this band's share of a host-bound slot 0), slot 0's tiles
+/// are written there instead: each tile is set to `+0.0` and takes the
+/// same adds — the chain a zeroed device image sees, so the host holds the
+/// bits a download of it would — tiles without deposits included, and its
+/// chunk checksums are recorded when `host` carries any.
 pub(crate) fn merge_band(
     roles: &[RoleDeposits],
     targets: &[&GlobalAtomicF32],
     band: usize,
     bands: usize,
     scratch: &mut [f32],
+    mut host: Option<&mut HostBand<'_>>,
 ) {
     let total: usize = targets.iter().map(|t| t.len().div_ceil(MERGE_TILE)).sum();
-    let (lo, hi) = (total * band / bands, total * (band + 1) / bands);
+    let (lo, hi) = band_tiles(total, band, bands);
     let mut first = 0usize;
     for (slot, target) in targets.iter().enumerate() {
         let tiles = target.len().div_ceil(MERGE_TILE);
         for t in lo.max(first)..hi.min(first + tiles) {
             let tile = t - first;
             let base = tile * MERGE_TILE;
+            let (mut dst, sums) = match host.as_deref_mut() {
+                Some(HostBand { start, vals, sums }) if slot == 0 => {
+                    let at = base - *start;
+                    let dst = &mut vals[at..at + MERGE_TILE.min(target.len() - base)];
+                    dst.fill(0.0);
+                    let sums = sums.get_mut(at / TRANSFER_CHUNK..).unwrap_or_default();
+                    (Some(dst), sums)
+                }
+                _ => (None, Default::default()),
+            };
             for role in roles {
                 let (rows, vals) = role.tile(slot as u32, tile);
                 let mut at = 0usize;
@@ -496,7 +587,15 @@ pub(crate) fn merge_band(
                 }
                 for &(s, n) in rows {
                     let (s, n) = (s as usize, n as usize);
-                    target.merge_drain_range(base + s, &mut scratch[s..s + n]);
+                    match dst.as_deref_mut() {
+                        Some(dst) => drain_into(&mut dst[s..s + n], &mut scratch[s..s + n]),
+                        None => target.merge_drain_range(base + s, &mut scratch[s..s + n]),
+                    }
+                }
+            }
+            if let Some(dst) = dst {
+                for (sum, chunk) in sums.iter_mut().zip(dst.chunks(TRANSFER_CHUNK)) {
+                    *sum = chunk_checksum(chunk);
                 }
             }
         }
@@ -593,9 +692,17 @@ pub(crate) fn merge_band_pooled(
     targets: &[&GlobalAtomicF32],
     band: usize,
     bands: usize,
+    host: Option<&mut HostBand<'_>>,
 ) {
     let mut scratch = arena.take();
-    merge_band(roles, targets, band, bands, scratch.span_mut(0, MERGE_TILE));
+    merge_band(
+        roles,
+        targets,
+        band,
+        bands,
+        scratch.span_mut(0, MERGE_TILE),
+        host,
+    );
     // The merge leaves the scratch all-zero; empty it for recycling.
     scratch.clear();
     arena.put(scratch);
@@ -829,7 +936,7 @@ impl<'a> ThreadCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::global::AddressSpace;
+    use crate::memory::global::{chunk_checksums_host, AddressSpace};
 
     fn ctx<'a>(shared: &'a SharedMem) -> ThreadCtx<'a> {
         ThreadCtx::new(
@@ -910,7 +1017,7 @@ mod tests {
         let mut role = RoleDeposits::default();
         shadow.seal_into(&targets, &mut role);
         let targets = targets.into_inner().unwrap();
-        merge_band_pooled(arena, &[role], &targets, 0, 1);
+        merge_band_pooled(arena, &[role], &targets, 0, 1, None);
     }
 
     #[test]
@@ -1123,27 +1230,41 @@ mod tests {
         // The naive dense reference: per role, a zeroed image folded in
         // recording order, then added into the target in role order
         // (zeros skipped).
-        let mut want = init.clone();
-        for role_plan in &plan {
-            for (t, deposits) in role_plan.iter().enumerate() {
-                let mut dense = vec![0.0f32; lens[t]];
-                for &(i, v) in deposits {
-                    dense[i] += v;
-                }
-                for (w, &d) in want[t].iter_mut().zip(&dense) {
-                    if d != 0.0 {
-                        *w += d;
+        let fold = |init: &[Vec<f32>]| {
+            let mut want = init.to_vec();
+            for role_plan in &plan {
+                for (t, deposits) in role_plan.iter().enumerate() {
+                    let mut dense = vec![0.0f32; lens[t]];
+                    for &(i, v) in deposits {
+                        dense[i] += v;
+                    }
+                    for (w, &d) in want[t].iter_mut().zip(&dense) {
+                        if d != 0.0 {
+                            *w += d;
+                        }
                     }
                 }
             }
-        }
-        for bands in [1, 2, 3, 7] {
+            want
+        };
+        let want = fold(&init);
+        // Bound to the host, target 0 is folded from zero instead.
+        let want_host = fold(&[vec![0.0; lens[0]], init[1].clone()]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (bands, host_bound) in [1, 2, 3, 7]
+            .into_iter()
+            .flat_map(|b| [(b, false), (b, true)])
+        {
             let targets: Vec<GlobalAtomicF32> = init
                 .iter()
                 .map(|v| GlobalAtomicF32::from_host(&space, v))
                 .collect();
             let arena = BufferArena::new();
-            let table = Mutex::new(Vec::new());
+            let table = Mutex::new(if host_bound {
+                vec![&targets[0]]
+            } else {
+                Vec::new()
+            });
             let mut sealed: Vec<RoleDeposits> = Vec::new();
             for (r, rec) in recs.iter().enumerate() {
                 let mut shadow = ShadowSet::with_arena(&arena);
@@ -1171,13 +1292,31 @@ mod tests {
                 sealed.push(out);
             }
             let table = table.into_inner().unwrap();
+            // A host-bound target 0 lands in a NaN-filled host buffer,
+            // every value of which the merge must overwrite.
+            let mut host = vec![f32::NAN; lens[0]];
+            let mut sums = vec![0u64; lens[0].div_ceil(TRANSFER_CHUNK)];
+            let total = table.iter().map(|t| t.len().div_ceil(MERGE_TILE)).sum();
+            let shares = host_bound.then(|| host_bands(&mut host, &mut sums, total, bands));
             for band in 0..bands {
-                merge_band_pooled(&arena, &sealed, &table, band, bands);
+                let mut share = shares.as_ref().map(|s| s[band].lock().unwrap());
+                merge_band_pooled(&arena, &sealed, &table, band, bands, share.as_deref_mut());
             }
-            for (t, target) in targets.iter().enumerate() {
-                let got: Vec<u32> = target.to_host().iter().map(|v| v.to_bits()).collect();
-                let exp: Vec<u32> = want[t].iter().map(|v| v.to_bits()).collect();
-                assert!(got == exp, "target {t} differs at {bands} bands");
+            drop(shares);
+            let label = format!("{bands} bands, host-bound {host_bound}");
+            if host_bound {
+                assert!(bits(&host) == bits(&want_host[0]), "host differs: {label}");
+                assert_eq!(sums, chunk_checksums_host(&host, TRANSFER_CHUNK), "{label}");
+                assert_eq!(targets[0].to_host(), init[0], "device untouched: {label}");
+                assert!(
+                    bits(&targets[1].to_host()) == bits(&want_host[1]),
+                    "{label}"
+                );
+            } else {
+                for (t, target) in targets.iter().enumerate() {
+                    let got = bits(&target.to_host());
+                    assert!(got == bits(&want[t]), "target {t} differs: {label}");
+                }
             }
             assert_eq!(arena.dropped(), 0);
         }

@@ -82,7 +82,7 @@ pub use counters::{Counters, FlopClass};
 pub use device::DeviceSpec;
 pub use dim::Dim3;
 pub use error::GpuError;
-pub use exec::{ExecMode, GpuDiagnostics, VirtualGpu};
+pub use exec::{ExecMode, FrameDownload, GpuDiagnostics, VirtualGpu};
 pub use fault::{ArmedFaults, FaultKind, FaultPlan, FaultSpec};
 pub use kernel::{
     BlockCtx, BufferArena, DepositList, Event, Kernel, KernelBackend, ShadowSet, ThreadCtx,

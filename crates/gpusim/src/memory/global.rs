@@ -206,7 +206,7 @@ impl GlobalAtomicF32 {
     }
 
     /// Downloads the whole buffer into `out` (resized to fit) without
-    /// allocating a fresh vector — the frame loop's download path.
+    /// allocating a fresh vector — the verified download's copy.
     pub fn to_host_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend(
@@ -231,7 +231,7 @@ impl GlobalAtomicF32 {
     /// Resets every element to `+0.0`. Used by verified downloads (which
     /// cannot drain-as-they-copy like [`Self::take_to_host`], since a
     /// checksum failure must leave the device data intact for the retry)
-    /// and by retry attempts clearing a partially-written frame.
+    /// and by failed frame attempts clearing a partially-written image.
     pub fn fill_zero(&self) {
         for cell in &self.data {
             cell.store(0f32.to_bits(), Ordering::Relaxed);
@@ -242,34 +242,33 @@ impl GlobalAtomicF32 {
     /// values per checksum (the last chunk may be short). Compared against
     /// the host copy after a transfer to detect in-flight corruption.
     pub fn chunk_checksums(&self, chunk: usize) -> Vec<u64> {
-        let chunk = chunk.max(1);
         self.data
-            .chunks(chunk)
-            .map(|cells| {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for cell in cells {
-                    h = (h.rotate_left(5) ^ u64::from(cell.load(Ordering::Relaxed)))
-                        .wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                h
-            })
+            .chunks(chunk.max(1))
+            .map(|cells| checksum_bits(cells.iter().map(|c| c.load(Ordering::Relaxed))))
             .collect()
     }
+}
+
+/// The transfer checksum over raw `f32` bit patterns.
+#[inline]
+fn checksum_bits(bits: impl Iterator<Item = u32>) -> u64 {
+    bits.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The checksum of one chunk of host values — what
+/// [`GlobalAtomicF32::chunk_checksums`] computes for a device chunk holding
+/// the same bits.
+#[inline]
+pub(crate) fn chunk_checksum(vals: &[f32]) -> u64 {
+    checksum_bits(vals.iter().map(|v| v.to_bits()))
 }
 
 /// Host-side twin of [`GlobalAtomicF32::chunk_checksums`]: same function
 /// over an `f32` slice, for the post-transfer comparison.
 pub fn chunk_checksums_host(vals: &[f32], chunk: usize) -> Vec<u64> {
-    let chunk = chunk.max(1);
-    vals.chunks(chunk)
-        .map(|c| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for v in c {
-                h = (h.rotate_left(5) ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        })
-        .collect()
+    vals.chunks(chunk.max(1)).map(chunk_checksum).collect()
 }
 
 #[cfg(test)]
